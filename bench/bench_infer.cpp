@@ -2,20 +2,23 @@
 // the MCTS hot loop — one fsp query per tree expansion, same grid, varying
 // Steiner selections — and compares:
 //
-//   reference: the selector in training mode (the seed's scalar forward
-//              with full per-state feature re-encode and cache retention),
-//   engine:    the selector in inference mode (tiled kernels, arena
-//              temporaries, incremental FeatureCache patching).
+//   training mode: the selector with set_training(true) — full per-state
+//                  feature re-encode, a heap tensor per layer and the
+//                  activations retained for backward (the conv kernels
+//                  are the engine's own since training runs on them),
+//   engine:        the selector in inference mode (arena temporaries,
+//                  fused norm/ReLU, incremental FeatureCache patching).
 //
 // Every state's fsp is cross-checked between the two modes to a 1e-4
 // relative tolerance; a mismatch is a hard failure.  A second section runs
-// whole CombMcts episodes in both modes to show the end-to-end win.
-// Results go to stdout and BENCH_infer.json.  `--smoke` shrinks the work
-// for CI; like bench_route there is deliberately no timing assertion on
-// the speedups.  A final section measures the observability tax (metrics
-// kill-switch on vs off, min-of-N alternating rounds); in --smoke mode an
-// overhead above 2% is a hard failure (the obs subsystem's acceptance
-// bound).
+// whole CombMcts episodes in both modes to show the end-to-end win, and a
+// third times one training sample (forward + BCE + backward) at 16x16x4
+// and 32x32x8.  Results go to stdout and BENCH_infer.json.  `--smoke`
+// shrinks the work for CI; like bench_route there is deliberately no
+// timing assertion on the speedups.  A final section measures the
+// observability tax (metrics kill-switch on vs off, median ratio of paired
+// alternating rounds); in --smoke mode an overhead above 2% is a hard
+// failure (the obs subsystem's acceptance bound).
 
 #include <algorithm>
 #include <cmath>
@@ -27,6 +30,7 @@
 #include "bench_common.hpp"
 #include "gen/random_layout.hpp"
 #include "mcts/comb_mcts.hpp"
+#include "nn/loss.hpp"
 #include "nn/quant/simd.hpp"
 #include "obs/metrics.hpp"
 #include "rl/evaluate.hpp"
@@ -95,7 +99,7 @@ FspRun run_fsp(rl::SteinerSelector& selector, const HananGrid& grid,
 
 struct SizeReport {
   std::int32_t dim = 0, layers = 0;
-  double ref_ips = 0.0;     // reference inferences/sec
+  double ref_ips = 0.0;     // training-mode inferences/sec
   double engine_ips = 0.0;  // inference-engine inferences/sec
   double speedup = 0.0;
   double max_rel = 0.0;  // worst fsp disagreement
@@ -186,36 +190,41 @@ MctsReport bench_mcts(int episodes) {
   return rep;
 }
 
-struct ObsOverhead {
-  double off_ips = 0.0;
-  double on_ips = 0.0;
-  double overhead = 0.0;  // fractional slowdown with metrics recording
-};
+/// Training samples/s: one sample's forward + masked BCE + backward
+/// through the default selector U-Net — the unit of work each
+/// rl::ParallelFitter worker repeats.
+double bench_train(std::int32_t dim, std::int32_t layers, int reps) {
+  const HananGrid grid = make_grid(dim, layers, /*pins=*/6, /*seed=*/17);
+  rl::SteinerSelector selector;
+  nn::Module& net = selector.net();
+  net.set_training(true);
+  const nn::Tensor input = rl::SteinerSelector::encode(grid);
+  nn::Tensor target({1, grid.h_dim(), grid.v_dim(), grid.m_dim()});
+  for (std::int64_t i = 0; i < target.numel(); i += 7) target[i] = 1.0f;
+  nn::Tensor grad;
+  const auto step = [&] {
+    const nn::Tensor logits = net.forward(input);
+    nn::bce_with_logits(logits, target, grad);
+    net.backward(grad);
+  };
+  step();  // warm the per-thread kernel workspaces
+  util::Timer timer;
+  for (int r = 0; r < reps; ++r) step();
+  return double(reps) / std::max(timer.seconds(), 1e-12);
+}
 
-/// Inference-engine fsp loop with the metrics kill-switch off vs on,
-/// min-of-N alternating rounds (the min filters scheduler noise).
-ObsOverhead measure_obs_overhead(int state_count, int reps, int rounds) {
+/// The metrics-overhead gate on the inference-engine fsp loop (see
+/// bench::measure_obs_overhead).
+bench::ObsOverhead measure_obs_overhead(int state_count, int reps) {
   const HananGrid grid = make_grid(16, 4, /*pins=*/6, /*seed=*/17);
   util::Rng rng(41);
   const auto states = make_states(grid, state_count, rng);
   rl::SteinerSelector selector;
   selector.net().set_training(false);
   (void)run_fsp(selector, grid, states, 1);  // warm arena + feature cache
-
-  double best_off = 1e300, best_on = 1e300;
-  for (int round = 0; round < rounds; ++round) {
-    obs::set_enabled(false);
-    best_off = std::min(best_off, run_fsp(selector, grid, states, reps).seconds);
-    obs::set_enabled(true);
-    best_on = std::min(best_on, run_fsp(selector, grid, states, reps).seconds);
-  }
-  obs::set_enabled(true);
-  const double inferences = double(states.size()) * reps;
-  ObsOverhead o;
-  o.off_ips = inferences / std::max(best_off, 1e-12);
-  o.on_ips = inferences / std::max(best_on, 1e-12);
-  o.overhead = best_on / std::max(best_off, 1e-12) - 1.0;
-  return o;
+  return bench::measure_obs_overhead(bench::kObsRounds, [&] {
+    return run_fsp(selector, grid, states, reps).seconds;
+  });
 }
 
 struct Int8Report {
@@ -296,30 +305,36 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  std::printf("bench_infer: single-sample fsp inference, reference (training-"
-              "mode scalar path) vs inference engine%s\n",
+  std::printf("bench_infer: single-sample fsp inference, training mode vs "
+              "inference engine%s\n",
               smoke ? " (smoke)" : "");
 
-  // The reference path is much slower, so it gets fewer reps; throughput is
+  // Training mode is slower, so it gets fewer reps; throughput is
   // normalized per inference either way.
   const int states = smoke ? 6 : 16;
   const int reps_engine = smoke ? 4 : 24;
   const int reps_ref = smoke ? 1 : 3;
 
   const SizeReport small = bench_size(16, 4, states, reps_engine, reps_ref);
-  std::printf("  16x16x4 : reference %8.1f inf/s | engine %9.1f inf/s | "
+  std::printf("  16x16x4 : training mode %8.1f inf/s | engine %9.1f inf/s | "
               "%5.2fx | max rel %.2e\n",
               small.ref_ips, small.engine_ips, small.speedup, small.max_rel);
 
   const SizeReport large = bench_size(32, 8, states, reps_engine, reps_ref);
-  std::printf("  32x32x8 : reference %8.1f inf/s | engine %9.1f inf/s | "
+  std::printf("  32x32x8 : training mode %8.1f inf/s | engine %9.1f inf/s | "
               "%5.2fx | max rel %.2e\n",
               large.ref_ips, large.engine_ips, large.speedup, large.max_rel);
 
   const MctsReport mcts_rep = bench_mcts(smoke ? 2 : 6);
-  std::printf("  CombMcts 16x16x4: reference %6.2f episodes/s | engine "
+  std::printf("  CombMcts 16x16x4: training mode %6.2f episodes/s | engine "
               "%6.2f episodes/s | %5.2fx\n",
               mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup);
+
+  const double train_small = bench_train(16, 4, smoke ? 2 : 40);
+  const double train_large = bench_train(32, 8, smoke ? 1 : 8);
+  std::printf("  training fwd+bwd: 16x16x4 %7.1f samples/s | 32x32x8 %6.1f "
+              "samples/s (one thread)\n",
+              train_small, train_large);
 
   const Int8Report int8 = bench_int8(states, reps_engine, smoke);
   std::printf("  int8 32x32x8    : fp32 %9.1f inf/s | int8 %9.1f inf/s | "
@@ -328,11 +343,12 @@ int main(int argc, char** argv) {
               nn::simd::level_name(nn::simd::dispatch_level()),
               int8.agreement, int8.cost_ratio);
 
-  const ObsOverhead obs_tax =
-      measure_obs_overhead(states, reps_engine, /*rounds=*/5);
+  const bench::ObsOverhead obs_tax = measure_obs_overhead(states, reps_engine);
+  const double obs_inferences = double(states) * reps_engine;
   std::printf("  obs overhead    : %6.2f%% (metrics on %.1f vs off %.1f "
-              "inf/s, min of 5)%s\n",
-              100.0 * obs_tax.overhead, obs_tax.on_ips, obs_tax.off_ips,
+              "inf/s, median of %d rounds)%s\n",
+              100.0 * obs_tax.overhead, obs_inferences / obs_tax.on_s,
+              obs_inferences / obs_tax.off_s, bench::kObsRounds,
               obs::kMetricsCompiled ? "" : " [compiled out]");
   if (smoke && obs::kMetricsCompiled && obs_tax.overhead > 0.02) {
     std::fprintf(stderr,
@@ -346,21 +362,22 @@ int main(int argc, char** argv) {
         f,
         "{\n"
         "  \"sizes\": [\n"
-        "    {\"h\": 16, \"v\": 16, \"m\": 4, \"reference_ips\": %.1f,\n"
+        "    {\"h\": 16, \"v\": 16, \"m\": 4, \"training_mode_ips\": %.1f,\n"
         "     \"engine_ips\": %.1f, \"speedup\": %.3f, \"max_rel\": %.3e},\n"
-        "    {\"h\": 32, \"v\": 32, \"m\": 8, \"reference_ips\": %.1f,\n"
+        "    {\"h\": 32, \"v\": 32, \"m\": 8, \"training_mode_ips\": %.1f,\n"
         "     \"engine_ips\": %.1f, \"speedup\": %.3f, \"max_rel\": %.3e}\n"
         "  ],\n"
         "  \"comb_mcts\": {\"h\": 16, \"v\": 16, \"m\": 4,\n"
-        "    \"reference_eps\": %.3f, \"engine_eps\": %.3f, \"speedup\": %.3f},\n"
+        "    \"training_mode_eps\": %.3f, \"engine_eps\": %.3f, \"speedup\": %.3f},\n"
+        "  \"train_fwd_bwd_samples_per_s\": {\"16x16x4\": %.1f, \"32x32x8\": %.1f},\n"
         "  \"obs_overhead_fraction\": %.6f,\n"
         "  %s,\n"
         "  \"smoke\": %s\n"
         "}\n",
         small.ref_ips, small.engine_ips, small.speedup, small.max_rel,
         large.ref_ips, large.engine_ips, large.speedup, large.max_rel,
-        mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup,
-        obs_tax.overhead, bench::machine_json().c_str(),
+        mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup, train_small,
+        train_large, obs_tax.overhead, bench::machine_json().c_str(),
         smoke ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote BENCH_infer.json\n");

@@ -17,9 +17,10 @@
 // assertion on the speedups (CI machines are too noisy for a speedup gate).
 //
 // A final section measures the observability tax: the incremental hot loop
-// with the metrics kill-switch on vs off, min-of-N alternating rounds.  In
-// --smoke mode an overhead above 2% is a hard failure (the obs subsystem's
-// acceptance bound); min-of-N makes the estimate robust to scheduler noise.
+// with the metrics kill-switch on vs off, the median on/off ratio of paired
+// alternating rounds.  In --smoke mode an overhead above 2% is a hard
+// failure (the obs subsystem's acceptance bound); pairing and the median
+// make the estimate robust to scheduler noise.
 
 #include <algorithm>
 #include <cinttypes>
@@ -255,42 +256,15 @@ Run run_builds(const hanan::HananGrid& grid, Mode mode,
   return run;
 }
 
-struct ObsOverhead {
-  double off_bps = 0.0;  // metrics kill-switch off
-  double on_bps = 0.0;   // metrics recording (the default)
-  double overhead = 0.0; // fractional slowdown of on vs off
-};
-
-/// Minimum-of-N alternating A/B rounds: the min filters out scheduler and
-/// frequency-scaling noise, alternation keeps cache/allocator state fair.
-/// The side measured first swaps every round — a monotone frequency drift
-/// (e.g. the CPU throttling down after a long test-suite run) otherwise
-/// biases whichever side consistently samples later, and the min cannot
-/// filter a drift that touches every round the same way.
-ObsOverhead measure_obs_overhead(
+/// The metrics-overhead gate on incremental builds (see
+/// bench::measure_obs_overhead).
+bench::ObsOverhead measure_obs_overhead(
     const hanan::HananGrid& grid,
-    const std::vector<std::vector<hanan::Vertex>>& selections, int reps,
-    int rounds) {
-  const double total_builds = double(selections.size()) * reps;
+    const std::vector<std::vector<hanan::Vertex>>& selections, int reps) {
   run_builds(grid, Mode::kIncremental, selections, reps);  // warmup, unmeasured
-  double best_off = 1e300, best_on = 1e300;
-  for (int round = 0; round < rounds; ++round) {
-    const bool off_first = (round % 2) == 0;
-    for (int side = 0; side < 2; ++side) {
-      const bool measure_off = off_first == (side == 0);
-      oar::obs::set_enabled(!measure_off);
-      const double s =
-          run_builds(grid, Mode::kIncremental, selections, reps).seconds;
-      (measure_off ? best_off : best_on) =
-          std::min(measure_off ? best_off : best_on, s);
-    }
-  }
-  oar::obs::set_enabled(true);
-  ObsOverhead o;
-  o.off_bps = total_builds / std::max(best_off, 1e-12);
-  o.on_bps = total_builds / std::max(best_on, 1e-12);
-  o.overhead = best_on / std::max(best_off, 1e-12) - 1.0;
-  return o;
+  return bench::measure_obs_overhead(bench::kObsRounds, [&] {
+    return run_builds(grid, Mode::kIncremental, selections, reps).seconds;
+  });
 }
 
 }  // namespace
@@ -359,11 +333,11 @@ int main(int argc, char** argv) {
               "legacy within %.3f%% (tie-breaks)\n",
               100.0 * max_legacy_rel);
 
-  const ObsOverhead obs_tax =
-      measure_obs_overhead(grid, selections, reps, /*rounds=*/5);
+  const bench::ObsOverhead obs_tax = measure_obs_overhead(grid, selections, reps);
   std::printf("  obs overhead   : %10.2f%% (metrics on %0.1f vs off %0.1f "
-              "builds/sec, min of 5)%s\n",
-              100.0 * obs_tax.overhead, obs_tax.on_bps, obs_tax.off_bps,
+              "builds/sec, median of %d rounds)%s\n",
+              100.0 * obs_tax.overhead, total_builds / obs_tax.on_s,
+              total_builds / obs_tax.off_s, bench::kObsRounds,
               obs::kMetricsCompiled ? "" : " [compiled out]");
   if (smoke && obs::kMetricsCompiled && obs_tax.overhead > 0.02) {
     std::fprintf(stderr,

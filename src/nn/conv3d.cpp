@@ -1,5 +1,6 @@
 #include "nn/conv3d.hpp"
 
+#include <cassert>
 #include <cmath>
 
 #include "nn/inference.hpp"
@@ -13,6 +14,7 @@ Conv3d::Conv3d(std::int32_t in_channels, std::int32_t out_channels,
       kernel_(kernel),
       padding_(padding < 0 ? kernel / 2 : padding) {
   assert(kernel % 2 == 1);
+  assert(padding_ < kernel);  // backward's input gradient needs k-1-pad >= 0
   const float stddev =
       std::sqrt(2.0f / (float(in_channels) * float(kernel) * float(kernel) * float(kernel)));
   weight_ = Parameter(
@@ -36,135 +38,10 @@ Tensor Conv3d::forward(const Tensor& input) {
   const std::int32_t O2 = D2 + 2 * padding_ - kernel_ + 1;
   assert(O0 > 0 && O1 > 0 && O2 > 0);
 
-  if (!training()) {
-    Tensor out({out_channels_, O0, O1, O2});
-    infer_into(input.data(), D0, D1, D2, local_inference_scratch(), out.data());
-    return out;
-  }
-  input_ = input;
-
+  if (training()) input_ = input;
   Tensor out({out_channels_, O0, O1, O2});
-  const float* in = input.data();
-  const float* w = weight_.value.data();
-  float* o = out.data();
-
-  const std::int64_t in_plane = std::int64_t(D1) * D2;
-  const std::int64_t in_chan = std::int64_t(D0) * in_plane;
-  const std::int64_t out_plane = std::int64_t(O1) * O2;
-  const std::int64_t out_chan = std::int64_t(O0) * out_plane;
-  const std::int64_t w_k3 = std::int64_t(kernel_) * kernel_ * kernel_;
-  const std::int64_t w_chan = std::int64_t(in_channels_) * w_k3;
-
-  for (std::int32_t oc = 0; oc < out_channels_; ++oc) {
-    const float b = bias_.value[oc];
-    float* obase = o + oc * out_chan;
-    for (std::int64_t i = 0; i < out_chan; ++i) obase[i] = b;
-    for (std::int32_t ic = 0; ic < in_channels_; ++ic) {
-      const float* ibase = in + ic * in_chan;
-      const float* wbase = w + oc * w_chan + ic * w_k3;
-      for (std::int32_t k0 = 0; k0 < kernel_; ++k0) {
-        for (std::int32_t k1 = 0; k1 < kernel_; ++k1) {
-          for (std::int32_t k2 = 0; k2 < kernel_; ++k2) {
-            const float wv = wbase[(std::int64_t(k0) * kernel_ + k1) * kernel_ + k2];
-            if (wv == 0.0f) continue;
-            // Valid output range so that the input index stays in bounds.
-            const std::int32_t i0_lo = std::max(0, padding_ - k0);
-            const std::int32_t i0_hi = std::min(O0, D0 + padding_ - k0);
-            const std::int32_t i1_lo = std::max(0, padding_ - k1);
-            const std::int32_t i1_hi = std::min(O1, D1 + padding_ - k1);
-            const std::int32_t i2_lo = std::max(0, padding_ - k2);
-            const std::int32_t i2_hi = std::min(O2, D2 + padding_ - k2);
-            for (std::int32_t o0 = i0_lo; o0 < i0_hi; ++o0) {
-              const std::int32_t z0 = o0 + k0 - padding_;
-              for (std::int32_t o1 = i1_lo; o1 < i1_hi; ++o1) {
-                const std::int32_t z1 = o1 + k1 - padding_;
-                const float* irow = ibase + std::int64_t(z0) * in_plane +
-                                    std::int64_t(z1) * D2 + (i2_lo + k2 - padding_);
-                float* orow = obase + std::int64_t(o0) * out_plane +
-                              std::int64_t(o1) * O2 + i2_lo;
-                const std::int32_t len = i2_hi - i2_lo;
-                for (std::int32_t t = 0; t < len; ++t) orow[t] += wv * irow[t];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  infer_into(input.data(), D0, D1, D2, local_inference_scratch(), out.data());
   return out;
-}
-
-Tensor Conv3d::backward(const Tensor& grad_output) {
-  assert(training());  // inference-mode forward retains nothing
-  assert(input_.defined());
-  const std::int32_t D0 = input_.shape(1), D1 = input_.shape(2), D2 = input_.shape(3);
-  const std::int32_t O0 = grad_output.shape(1), O1 = grad_output.shape(2),
-                     O2 = grad_output.shape(3);
-  assert(grad_output.shape(0) == out_channels_);
-
-  Tensor grad_input(input_.shape());
-  const float* in = input_.data();
-  const float* go = grad_output.data();
-  const float* w = weight_.value.data();
-  float* gw = weight_.grad.data();
-  float* gb = bias_.grad.data();
-  float* gi = grad_input.data();
-
-  const std::int64_t in_plane = std::int64_t(D1) * D2;
-  const std::int64_t in_chan = std::int64_t(D0) * in_plane;
-  const std::int64_t out_plane = std::int64_t(O1) * O2;
-  const std::int64_t out_chan = std::int64_t(O0) * out_plane;
-  const std::int64_t w_k3 = std::int64_t(kernel_) * kernel_ * kernel_;
-  const std::int64_t w_chan = std::int64_t(in_channels_) * w_k3;
-
-  for (std::int32_t oc = 0; oc < out_channels_; ++oc) {
-    const float* gobase = go + oc * out_chan;
-    // Bias gradient: sum of output gradients of this channel.
-    double gbs = 0.0;
-    for (std::int64_t i = 0; i < out_chan; ++i) gbs += gobase[i];
-    gb[oc] += float(gbs);
-
-    for (std::int32_t ic = 0; ic < in_channels_; ++ic) {
-      const float* ibase = in + ic * in_chan;
-      float* gibase = gi + ic * in_chan;
-      const float* wbase = w + oc * w_chan + ic * w_k3;
-      float* gwbase = gw + oc * w_chan + ic * w_k3;
-      for (std::int32_t k0 = 0; k0 < kernel_; ++k0) {
-        for (std::int32_t k1 = 0; k1 < kernel_; ++k1) {
-          for (std::int32_t k2 = 0; k2 < kernel_; ++k2) {
-            const std::int64_t widx = (std::int64_t(k0) * kernel_ + k1) * kernel_ + k2;
-            const float wv = wbase[widx];
-            double gws = 0.0;
-            const std::int32_t i0_lo = std::max(0, padding_ - k0);
-            const std::int32_t i0_hi = std::min(O0, D0 + padding_ - k0);
-            const std::int32_t i1_lo = std::max(0, padding_ - k1);
-            const std::int32_t i1_hi = std::min(O1, D1 + padding_ - k1);
-            const std::int32_t i2_lo = std::max(0, padding_ - k2);
-            const std::int32_t i2_hi = std::min(O2, D2 + padding_ - k2);
-            for (std::int32_t o0 = i0_lo; o0 < i0_hi; ++o0) {
-              const std::int32_t z0 = o0 + k0 - padding_;
-              for (std::int32_t o1 = i1_lo; o1 < i1_hi; ++o1) {
-                const std::int32_t z1 = o1 + k1 - padding_;
-                const float* irow = ibase + std::int64_t(z0) * in_plane +
-                                    std::int64_t(z1) * D2 + (i2_lo + k2 - padding_);
-                float* girow = gibase + std::int64_t(z0) * in_plane +
-                               std::int64_t(z1) * D2 + (i2_lo + k2 - padding_);
-                const float* gorow = gobase + std::int64_t(o0) * out_plane +
-                                     std::int64_t(o1) * O2 + i2_lo;
-                const std::int32_t len = i2_hi - i2_lo;
-                for (std::int32_t t = 0; t < len; ++t) {
-                  gws += double(gorow[t]) * irow[t];
-                  girow[t] += wv * gorow[t];
-                }
-              }
-            }
-            gwbase[widx] += float(gws);
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
 }
 
 }  // namespace oar::nn

@@ -13,14 +13,19 @@ class InferenceScratch;
 class Conv3d : public Module {
  public:
   /// He-initialized convolution.  `kernel` must be odd; padding defaults to
-  /// kernel/2 ("same" output size).
+  /// kernel/2 ("same" output size) and must stay below `kernel`.
   Conv3d(std::int32_t in_channels, std::int32_t out_channels, std::int32_t kernel,
          util::Rng& rng, std::int32_t padding = -1);
 
-  /// Training mode: reference scalar kernel, retains the input for
-  /// backward.  Inference mode: routes through infer_into (tiled kernels,
-  /// no retention).
+  /// Both modes run infer_into (the tiled kernels of conv3d_batch.cpp) on
+  /// the thread's local_inference_scratch(); training mode also retains the
+  /// input for backward.
   Tensor forward(const Tensor& input) override;
+  /// Accumulates into weight().grad / bias().grad and returns a fully
+  /// written input gradient.  Also defined in conv3d_batch.cpp: the input
+  /// gradient is a convolution on the forward's kernels, the weight
+  /// gradient a vector-register kernel, both with workspaces from the
+  /// thread's local_inference_scratch().  Deterministic per sample.
   Tensor backward(const Tensor& grad_output) override;
   /// (N, IC, D0, D1, D2) -> (N, OC, O0, O1, O2).  Unlike the looped base
   /// default, this runs one im2col + register-blocked GEMM over the whole

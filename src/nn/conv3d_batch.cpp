@@ -1,13 +1,16 @@
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "nn/conv3d.hpp"
 #include "nn/inference.hpp"
 
-// Batched convolution kernels.  Kept in their own translation unit so the
-// build can compile just this file with wider vector flags (see
-// src/nn/CMakeLists.txt) without touching the training path's numerics: the
-// single-sample forward/backward in conv3d.cpp stay on the default flags.
+// Convolution kernels: the inference forward (single-sample and batched)
+// and the training backward.  Kept in their own translation unit so the
+// build can compile just this file at -O3 with the host's vector ISA (see
+// src/nn/CMakeLists.txt).  Every Conv3d pass runs here, training included,
+// so training numerics follow the host ISA: bitwise-reproducible on one
+// host, not across ISAs (DESIGN.md §11).
 //
 // For the channel counts the U-Net instantiates we run a direct convolution
 // with a register tile of TILE output voxels (a run along the innermost,
@@ -17,6 +20,11 @@
 // contiguous runs im2col copies are only M long, so patch assembly costs as
 // much as the GEMM it feeds.  Other channel counts fall back to an im2col +
 // register-blocked GEMM that handles any OC.
+//
+// Backward reuses the forward machinery: the input gradient is the
+// convolution of the output gradient with the flipped, IC<->OC transposed
+// weights at padding k-1-pad, and the weight gradient has one
+// vector-register kernel of its own (weight_grad below).
 
 namespace oar::nn {
 
@@ -139,8 +147,10 @@ inline void conv_line3(const float* in_sample_ptr, const float* wt,
 /// of OC lanes per output voxel only makes sense for narrow OC (8 or 16);
 /// wider channel counts would spill the TILE accumulators right back to the
 /// stack.  The per-element accumulation order is identical to conv_line3,
-/// so the two kernels agree bit-for-bit under this file's FP flags.
-template <std::int32_t OC, std::int32_t TILE>
+/// so the two kernels agree bit-for-bit under this file's FP flags.  LDW is
+/// the row stride of `wt`: OC for a whole layer, wider when the caller
+/// splits a wide layer into OC-channel chunks.
+template <std::int32_t OC, std::int32_t TILE, std::int32_t LDW = OC>
 inline void conv_line3_vec(const float* in_sample_ptr, const float* wt,
                            const float* bias, float* out_line, std::int32_t IC,
                            std::int32_t D0, std::int32_t D1, std::int32_t o0,
@@ -160,14 +170,14 @@ inline void conv_line3_vec(const float* in_sample_ptr, const float* wt,
     const float* ichan = in_sample_ptr + ic * in_chan;
     for (std::int32_t k0 = 0; k0 < 3; ++k0) {
       const std::int32_t z0 = o0 + k0 - 1;
-      for (std::int32_t k1 = 0; k1 < 3; ++k1, wk += 3 * OC) {
+      for (std::int32_t k1 = 0; k1 < 3; ++k1, wk += 3 * LDW) {
         const std::int32_t z1 = o1 + k1 - 1;
         if (z0 < 0 || z0 >= D0 || z1 < 0 || z1 >= D1) continue;
         const float* L = ichan + std::int64_t(z0) * in_plane + std::int64_t(z1) * D2;
         Vec w0, w1, w2;  // k2 = 0/1/2 taps: z2 = j - 1 / j / j + 1
         __builtin_memcpy(&w0, wk, sizeof(w0));
-        __builtin_memcpy(&w1, wk + OC, sizeof(w1));
-        __builtin_memcpy(&w2, wk + 2 * OC, sizeof(w2));
+        __builtin_memcpy(&w1, wk + LDW, sizeof(w1));
+        __builtin_memcpy(&w2, wk + 2 * LDW, sizeof(w2));
         for (std::int32_t j = 1; j < TILE; ++j) a[j] += L[j - 1] * w0;
         for (std::int32_t j = 0; j < TILE; ++j) a[j] += L[j] * w1;
         for (std::int32_t j = 0; j < TILE - 1; ++j) a[j] += L[j + 1] * w2;
@@ -184,7 +194,8 @@ inline void conv_line3_vec(const float* in_sample_ptr, const float* wt,
 
 /// conv_line3 entry point: picks the vector-register accumulator build for
 /// the narrow channel counts it pays off on, the portable scalar tile
-/// otherwise.
+/// otherwise.  24 and 48 channels (the input gradients of the U-Net's
+/// concatenating decoders) run as three vector-width channel chunks.
 template <std::int32_t OC, std::int32_t TILE>
 inline void conv_line3_dispatch(const float* in_sample_ptr, const float* wt,
                                 const float* bias, float* out_line,
@@ -195,6 +206,15 @@ inline void conv_line3_dispatch(const float* in_sample_ptr, const float* wt,
   if constexpr (OC == 8 || OC == 16) {
     conv_line3_vec<OC, TILE>(in_sample_ptr, wt, bias, out_line, IC, D0, D1, o0,
                              o1, out_chan);
+    return;
+  }
+  if constexpr (OC == 24 || OC == 48) {
+    constexpr std::int32_t kChunk = OC / 3;
+    for (std::int32_t c = 0; c < OC; c += kChunk) {
+      conv_line3_vec<kChunk, TILE, OC>(in_sample_ptr, wt + c, bias + c,
+                                       out_line + c * out_chan, IC, D0, D1, o0,
+                                       o1, out_chan);
+    }
     return;
   }
 #endif
@@ -419,12 +439,60 @@ void im2col_conv(const float* in, const float* wt, const float* bias, float* out
   }
 }
 
+/// Runs a convolution whose weights are already transposed to (K, OC),
+/// kk = (ic, k0, k1, k2) — the accumulation order of every kernel here:
+/// the register-tiled direct kernel for the known channel counts, the
+/// im2col fallback otherwise.
+void conv_transposed(const float* in, const float* wt, const float* bias,
+                     float* o, std::int32_t N, std::int32_t IC, std::int32_t OC,
+                     std::int32_t D0, std::int32_t D1, std::int32_t D2,
+                     std::int32_t kernel, std::int32_t pad, std::int32_t O0,
+                     std::int32_t O1, std::int32_t O2, InferenceScratch& ws) {
+  switch (OC) {
+    case 1:
+      direct_conv<1>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    case 8:
+      direct_conv<8>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    case 16:
+      direct_conv<16>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    case 24:
+      direct_conv<24>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    case 32:
+      direct_conv<32>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    case 48:
+      direct_conv<48>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    case 64:
+      direct_conv<64>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
+      break;
+    default:
+      im2col_conv(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2,
+                  OC, ws);
+      break;
+  }
+}
+
+/// The channel count conv_transposed should run `c` output channels at:
+/// `c` itself when a direct kernel takes it, else the next multiple of 8
+/// when a direct kernel takes that (7 -> 8), else `c` on the fallback.
+/// The list mirrors conv_transposed's switch.
+std::int32_t direct_width(std::int32_t c) {
+  const auto direct = [](std::int32_t n) {
+    return n == 1 || n == 8 || n == 16 || n == 24 || n == 32 || n == 48 || n == 64;
+  };
+  if (direct(c)) return c;
+  const std::int32_t up = (c + 7) / 8 * 8;
+  return direct(up) ? up : c;
+}
+
 /// Shared tail of forward_batch and the single-sample infer_into fast path:
-/// transpose the weights to (K, OC) in the workspace, then dispatch the
-/// register-tiled kernel for the known channel counts or the im2col
-/// fallback.  The kk = (ic, k0, k1, k2) accumulation order matches the
-/// single-sample training forward, keeping the two paths numerically
-/// aligned up to flag-dependent FP contraction in this translation unit.
+/// the pointwise kernel for 1x1x1, else transpose the weights to (K, OC) in
+/// the workspace and run conv_transposed.
 void conv_dispatch(const float* in, const float* w, const float* bias, float* o,
                    std::int32_t N, std::int32_t IC, std::int32_t OC,
                    std::int32_t D0, std::int32_t D1, std::int32_t D2,
@@ -442,27 +510,122 @@ void conv_dispatch(const float* in, const float* w, const float* bias, float* o,
       wt[std::size_t(kk) * std::size_t(OC) + std::size_t(oc)] = w[oc * K + kk];
     }
   }
+  conv_transposed(in, wt, bias, o, N, IC, OC, D0, D1, D2, kernel, pad, O0, O1,
+                  O2, ws);
+}
 
-  switch (OC) {
-    case 1:
-      direct_conv<1>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 8:
-      direct_conv<8>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 16:
-      direct_conv<16>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 32:
-      direct_conv<32>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    case 64:
-      direct_conv<64>(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2);
-      break;
-    default:
-      im2col_conv(in, wt, bias, o, N, IC, D0, D1, D2, kernel, pad, O0, O1, O2,
-                  OC, ws);
-      break;
+/// Eight float lanes: the output-channel vector of the weight-gradient
+/// kernel (one AVX register; narrower ISAs split it).  A GNU vector
+/// extension, like `__restrict__` elsewhere in this file: GCC and Clang.
+typedef float Lanes __attribute__((vector_size(8 * sizeof(float))));
+constexpr std::int32_t kLanes = 8;
+
+/// Shape of one weight-gradient problem: input extent, kernel, padding and
+/// output extent.
+struct GradGeom {
+  std::int32_t D0, D1, D2, kernel, pad, O0, O1, O2;
+};
+
+/// Accumulates the weight gradient of ICB input channels x NV lane vectors
+/// of output channels into `gw`:
+///   gw(oc, ic, k) += sum over output voxels o of gy(oc, o) * x(ic, o + k - pad)
+/// `x` points at the first input channel; `gyt` is the output gradient
+/// voxel-major with row stride `ld`, offset to the first lane; `gw` points
+/// at (first oc, first ic) of the weight gradient, whose output-channel
+/// stride is `K`; only the first `lanes` output channels are real.  One
+/// tap at a time sweeps every output line with the ICB x NV accumulators
+/// in registers, summing in raster order — so the result is a
+/// deterministic function of the inputs, independent of the thread.
+template <std::int32_t ICB, std::int32_t NV>
+void weight_grad_tile(const float* x, const float* gyt, std::int64_t ld,
+                      float* gw, std::int64_t K, std::int32_t lanes,
+                      const GradGeom& g) {
+  const std::int64_t in_plane = std::int64_t(g.D1) * g.D2;
+  const std::int64_t in_chan = std::int64_t(g.D0) * in_plane;
+  const std::int32_t k = g.kernel;
+  const std::int64_t k3 = std::int64_t(k) * k * k;
+  for (std::int32_t k0 = 0; k0 < k; ++k0) {
+    const std::int32_t lo0 = std::max(0, g.pad - k0);
+    const std::int32_t hi0 = std::min(g.O0, g.D0 + g.pad - k0);
+    for (std::int32_t k1 = 0; k1 < k; ++k1) {
+      const std::int32_t lo1 = std::max(0, g.pad - k1);
+      const std::int32_t hi1 = std::min(g.O1, g.D1 + g.pad - k1);
+      for (std::int32_t k2 = 0; k2 < k; ++k2) {
+        const std::int32_t lo2 = std::max(0, g.pad - k2);
+        const std::int32_t hi2 = std::min(g.O2, g.D2 + g.pad - k2);
+        Lanes acc[ICB][NV] = {};
+        for (std::int32_t o0 = lo0; o0 < hi0; ++o0) {
+          for (std::int32_t o1 = lo1; o1 < hi1; ++o1) {
+            const float* xl = x + std::int64_t(o0 + k0 - g.pad) * in_plane +
+                              std::int64_t(o1 + k1 - g.pad) * g.D2 + (k2 - g.pad);
+            const float* gl = gyt + (std::int64_t(o0) * g.O1 + o1) * g.O2 * ld;
+            for (std::int32_t j = lo2; j < hi2; ++j) {
+              Lanes gv[NV];
+              for (std::int32_t v = 0; v < NV; ++v) {
+                std::memcpy(&gv[v], gl + j * ld + v * kLanes, sizeof(Lanes));
+              }
+              for (std::int32_t b = 0; b < ICB; ++b) {
+                const float s = xl[b * in_chan + j];
+                for (std::int32_t v = 0; v < NV; ++v) acc[b][v] += s * gv[v];
+              }
+            }
+          }
+        }
+        const std::int64_t kk = (std::int64_t(k0) * k + k1) * k + k2;
+        for (std::int32_t b = 0; b < ICB; ++b) {
+          for (std::int32_t v = 0; v < NV; ++v) {
+            for (std::int32_t t = 0; t < kLanes; ++t) {
+              const std::int32_t l = v * kLanes + t;
+              if (l < lanes) gw[l * K + b * k3 + kk] += acc[b][v][t];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// weight_grad_tile over all input channels: blocks of ICB, then the
+/// remainder in halving blocks (7 channels run as 4 + 2 + 1).
+template <std::int32_t ICB, std::int32_t NV>
+void weight_grad_channels(std::int32_t ic, std::int32_t IC, const float* x,
+                          const float* gyt, std::int64_t ld, float* gw,
+                          std::int64_t K, std::int32_t lanes, const GradGeom& g) {
+  const std::int64_t in_chan = std::int64_t(g.D0) * g.D1 * g.D2;
+  const std::int64_t k3 = std::int64_t(g.kernel) * g.kernel * g.kernel;
+  for (; ic + ICB <= IC; ic += ICB) {
+    weight_grad_tile<ICB, NV>(x + ic * in_chan, gyt, ld, gw + ic * k3, K, lanes, g);
+  }
+  if constexpr (ICB > 1) {
+    weight_grad_channels<ICB / 2, NV>(ic, IC, x, gyt, ld, gw, K, lanes, g);
+  }
+}
+
+/// Accumulates the (OC, IC, k, k, k) weight gradient into `gw` from the
+/// input `x` and the voxel-major output gradient `gyt` (rows of OCP =
+/// OC rounded up to 8 lanes), in lane chunks of at most four vectors so
+/// the accumulators stay in registers.
+void weight_grad(const float* x, const float* gyt, float* gw, std::int32_t IC,
+                 std::int32_t OC, std::int32_t OCP, const GradGeom& g) {
+  const std::int64_t K = std::int64_t(IC) * g.kernel * g.kernel * g.kernel;
+  for (std::int32_t oc = 0; oc < OC; oc += 4 * kLanes) {
+    const float* gl = gyt + oc;
+    float* w = gw + oc * K;
+    const std::int32_t lanes = std::min(OC - oc, 4 * kLanes);
+    switch ((lanes + kLanes - 1) / kLanes) {
+      case 1:
+        weight_grad_channels<8, 1>(0, IC, x, gl, OCP, w, K, lanes, g);
+        break;
+      case 2:
+        weight_grad_channels<4, 2>(0, IC, x, gl, OCP, w, K, lanes, g);
+        break;
+      case 3:
+        weight_grad_channels<2, 3>(0, IC, x, gl, OCP, w, K, lanes, g);
+        break;
+      default:
+        weight_grad_channels<2, 4>(0, IC, x, gl, OCP, w, K, lanes, g);
+        break;
+    }
   }
 }
 
@@ -496,6 +659,78 @@ void Conv3d::infer_into(const float* in, std::int32_t D0, std::int32_t D1,
   conv_dispatch(in, weight_.value.data(), bias_.value.data(), out, 1,
                 in_channels_, out_channels_, D0, D1, D2, kernel_, padding_, O0,
                 O1, O2, scratch);
+}
+
+Tensor Conv3d::backward(const Tensor& grad_output) {
+  assert(training());  // inference-mode forward retains nothing
+  assert(input_.defined());
+  assert(grad_output.shape(0) == out_channels_);
+  const std::int32_t IC = in_channels_, OC = out_channels_, k = kernel_;
+  const std::int32_t D0 = input_.shape(1), D1 = input_.shape(2), D2 = input_.shape(3);
+  const std::int32_t O0 = grad_output.shape(1), O1 = grad_output.shape(2),
+                     O2 = grad_output.shape(3);
+  const std::int64_t in_vol = std::int64_t(D0) * D1 * D2;
+  const std::int64_t out_vol = std::int64_t(O0) * O1 * O2;
+  const std::int64_t k3 = std::int64_t(k) * k * k;
+  const float* gy = grad_output.data();
+  InferenceScratch& ws = local_inference_scratch();
+
+  // Bias gradient: per-channel sum of the output gradient, in double.
+  float* gb = bias_.grad.data();
+  for (std::int32_t oc = 0; oc < OC; ++oc) {
+    double sum = 0.0;
+    for (std::int64_t i = 0; i < out_vol; ++i) sum += gy[oc * out_vol + i];
+    gb[oc] += float(sum);
+  }
+
+  // Weight gradient: transpose the output gradient to voxel-major rows of
+  // OCP lanes (zero-padded) for the lane kernel.  A 1x1x1 volume is one
+  // line.
+  const std::int32_t OCP = (OC + kLanes - 1) / kLanes * kLanes;
+  float* gyt = ws.grad_t(std::size_t(out_vol) * std::size_t(OCP));
+  for (std::int64_t i = 0; i < out_vol; ++i) {
+    float* row = gyt + i * OCP;
+    for (std::int32_t oc = 0; oc < OC; ++oc) row[oc] = gy[oc * out_vol + i];
+    std::fill(row + OC, row + OCP, 0.0f);
+  }
+  const GradGeom geom =
+      k == 1 ? GradGeom{1, 1, std::int32_t(in_vol), 1, 0, 1, 1, std::int32_t(out_vol)}
+             : GradGeom{D0, D1, D2, k, padding_, O0, O1, O2};
+  weight_grad(input_.data(), gyt, weight_.grad.data(), IC, OC, OCP, geom);
+
+  // Input gradient: the output gradient convolved with the flipped,
+  // IC<->OC transposed weights at padding k-1-pad, which restores the
+  // input extent.  Narrow channel counts run padded to a direct kernel's
+  // width in the workspace; the real channels are a contiguous prefix.
+  Tensor grad_input(input_.shape());
+  const float* w = weight_.value.data();
+  if (k == 1) {
+    float* wt = ws.wt(std::size_t(IC) * OC + std::size_t(IC));
+    for (std::int32_t ic = 0; ic < IC; ++ic) {
+      for (std::int32_t oc = 0; oc < OC; ++oc) wt[ic * OC + oc] = w[oc * IC + ic];
+    }
+    std::fill(wt + IC * OC, wt + IC * OC + IC, 0.0f);
+    pointwise_conv(gy, wt, wt + IC * OC, grad_input.data(), 1, OC, IC, in_vol);
+    return grad_input;
+  }
+  const std::int32_t ICP = direct_width(IC);
+  const std::int64_t Kt = OC * k3;
+  float* wt = ws.wt(std::size_t(Kt) * ICP + std::size_t(ICP));
+  std::fill(wt, wt + Kt * ICP + ICP, 0.0f);  // padding lanes and the bias
+  for (std::int32_t oc = 0; oc < OC; ++oc) {
+    for (std::int32_t ic = 0; ic < IC; ++ic) {
+      const float* src = w + (std::int64_t(oc) * IC + ic) * k3;
+      for (std::int64_t t = 0; t < k3; ++t) {
+        wt[(oc * k3 + (k3 - 1 - t)) * ICP + ic] = src[t];
+      }
+    }
+  }
+  float* gx = ICP == IC ? grad_input.data()
+                        : ws.grad_x(std::size_t(ICP) * std::size_t(in_vol));
+  conv_transposed(gy, wt, wt + Kt * ICP, gx, 1, OC, ICP, O0, O1, O2, k,
+                  k - 1 - padding_, D0, D1, D2, ws);
+  if (gx != grad_input.data()) std::copy(gx, gx + IC * in_vol, grad_input.data());
+  return grad_input;
 }
 
 }  // namespace oar::nn

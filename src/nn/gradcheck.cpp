@@ -37,7 +37,7 @@ GradCheckResult grad_check(Module& module, const Tensor& input,
                            double atol) {
   GradCheckResult result;
 
-  // Finite differences verify the reference training path by definition;
+  // Finite differences verify the training path by definition;
   // inference-mode modules (e.g. a freshly constructed SteinerSelector's
   // net) would neither retain activations nor admit backward().
   module.set_training(true);

@@ -10,7 +10,8 @@
 // push()/rewind() — ping-pong buffers sized to the layer high-water mark —
 // and (b) the named flat workspaces of the tiled convolution kernels
 // (transposed weights, im2col panel, GEMM product panel, accumulator
-// block).  Everything is grow-only, so after one warmed-up pass of a given
+// block, and Conv3d::backward's gradient workspaces — training passes use
+// the thread's local_inference_scratch()).  Everything is grow-only, so after one warmed-up pass of a given
 // layout size a full inference forward performs zero heap allocations
 // (asserted by tests/test_inference.cpp via an operator-new counting hook
 // and the grow_events() counter below).
@@ -61,6 +62,10 @@ class InferenceScratch {
   float* col(std::size_t n) { return ensure(col_, n); }
   float* prod(std::size_t n) { return ensure(prod_, n); }
   float* acc(std::size_t n) { return ensure(acc_, n); }
+  // Conv3d::backward workspaces: grad_t: voxel-major output gradient;
+  // grad_x: input gradient padded to a direct kernel's channel width.
+  float* grad_t(std::size_t n) { return ensure(grad_t_, n); }
+  float* grad_x(std::size_t n) { return ensure(grad_x_, n); }
 
   /// Number of capacity-growth events (new slot, or any slot/workspace
   /// outgrowing its storage).  A warmed-up arena must hold this constant —
@@ -77,6 +82,8 @@ class InferenceScratch {
   std::vector<float> col_;
   std::vector<float> prod_;
   std::vector<float> acc_;
+  std::vector<float> grad_t_;
+  std::vector<float> grad_x_;
   std::uint64_t grow_events_ = 0;
 };
 

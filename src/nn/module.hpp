@@ -19,12 +19,14 @@
 // forward_batch() clobbers the single-sample caches, so backward() must
 // not be called after it.
 //
-// set_training(false) switches forward() itself onto the single-sample
-// inference engine (DESIGN.md §11): tiled kernels from conv3d_batch.cpp,
-// temporaries from an InferenceScratch arena, and NO activation retention —
-// so backward() must not be called until set_training(true) has been
-// restored and a fresh training forward has run.  Layers assert training()
-// at the top of backward() to fail fast on stale caches.
+// Both modes convolve with the tiled kernels of conv3d_batch.cpp, so
+// training numerics follow the host's vector ISA (bitwise-reproducible per
+// host, not across ISAs).  set_training(false) switches forward() itself
+// onto the single-sample inference engine (DESIGN.md §11): temporaries
+// from an InferenceScratch arena, fused norm/ReLU and NO activation
+// retention — so backward() must not be called until set_training(true)
+// has been restored and a fresh training forward has run.  Layers assert
+// training() at the top of backward() to fail fast on stale caches.
 
 #include <algorithm>
 #include <memory>
