@@ -88,6 +88,11 @@ struct BadInputCase {
   const char* expected_error;
 };
 
+// Print a case by its name. gtest's default is a byte dump of the struct,
+// i.e. of its string pointers, which move with the load address of every
+// run and so made the listed test names differ from one build to the next.
+void PrintTo(const BadInputCase& c, std::ostream* os) { *os << c.name; }
+
 class GridIoBadInputTest : public ::testing::TestWithParam<BadInputCase> {};
 
 TEST_P(GridIoBadInputTest, RejectsMalformedInput) {
