@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,21 +42,31 @@ inline std::string machine_json() {
 }
 
 /// Result of the metrics-overhead gate shared by bench_route and
-/// bench_infer: median seconds per side and the overhead estimate.
+/// bench_infer: median thread CPU seconds per side and the overhead
+/// estimate.
 struct ObsOverhead {
   double off_s = 0.0;     // metrics kill-switch off
   double on_s = 0.0;      // metrics recording (the default)
   double overhead = 0.0;  // fractional slowdown of on vs off
 };
 
-/// Times `run()` (which returns its own seconds) with the metrics
-/// kill-switch off and on, back to back, for `rounds` rounds; the side
-/// measured first swaps every round.  The overhead is the median over
-/// rounds of the on/off ratio.  Pairing the sides inside a round cancels
-/// frequency drift and co-tenant bursts that span both, and the median
-/// ignores any single lucky or unlucky sample.  (Taking the min of each
-/// side separately did not: one 3%-fast outlier on the off side read as
-/// 3% overhead on code with none.)
+/// Thread CPU seconds of the calling thread (CLOCK_THREAD_CPUTIME_ID).
+inline double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
+}
+
+/// Times the single-threaded `run()` with the metrics kill-switch off and
+/// on, back to back, for `rounds` rounds; the side measured first swaps
+/// every round.  The overhead is the median over rounds of the on/off
+/// ratio.  Pairing the sides inside a round cancels frequency drift and
+/// co-tenant bursts that span both, and the median ignores any single
+/// lucky or unlucky sample.  (Taking the min of each side separately did
+/// not: one 3%-fast outlier on the off side read as 3% overhead on code
+/// with none.)  Each side is timed in the calling thread's CPU time, not
+/// wall time, so time the scheduler hands to co-running processes (a
+/// parallel ctest run) is not charged to either side.
 template <typename Run>
 ObsOverhead measure_obs_overhead(int rounds, Run&& run) {
   std::vector<double> off, on, ratio;
@@ -65,7 +76,9 @@ ObsOverhead measure_obs_overhead(int rounds, Run&& run) {
     for (int side = 0; side < 2; ++side) {
       const bool measure_off = off_first == (side == 0);
       obs::set_enabled(!measure_off);
-      s[measure_off ? 0 : 1] = run();
+      const double start = thread_cpu_seconds();
+      run();
+      s[measure_off ? 0 : 1] = thread_cpu_seconds() - start;
     }
     off.push_back(s[0]);
     on.push_back(s[1]);

@@ -223,7 +223,7 @@ bench::ObsOverhead measure_obs_overhead(int state_count, int reps) {
   selector.net().set_training(false);
   (void)run_fsp(selector, grid, states, 1);  // warm arena + feature cache
   return bench::measure_obs_overhead(bench::kObsRounds, [&] {
-    return run_fsp(selector, grid, states, reps).seconds;
+    (void)run_fsp(selector, grid, states, reps);
   });
 }
 
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
   const bench::ObsOverhead obs_tax = measure_obs_overhead(states, reps_engine);
   const double obs_inferences = double(states) * reps_engine;
   std::printf("  obs overhead    : %6.2f%% (metrics on %.1f vs off %.1f "
-              "inf/s, median of %d rounds)%s\n",
+              "inf per thread-CPU s, median of %d rounds)%s\n",
               100.0 * obs_tax.overhead, obs_inferences / obs_tax.on_s,
               obs_inferences / obs_tax.off_s, bench::kObsRounds,
               obs::kMetricsCompiled ? "" : " [compiled out]");

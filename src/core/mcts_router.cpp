@@ -1,8 +1,8 @@
 #include "core/mcts_router.hpp"
 
 #include <algorithm>
+#include <iterator>
 
-#include "mcts/parallel.hpp"
 #include "route/oarmst.hpp"
 
 namespace oar::core {
@@ -26,35 +26,34 @@ route::OarmstResult MctsRouter::route(const hanan::HananGrid& grid,
   cfg.iterations_per_move =
       mcts::scaled_iterations(config_.iterations_per_move, grid);
 
-  mcts::CombMctsResult searched;
-  if (cfg.search_workers != 1) {
-    mcts::ParallelCombMcts search(*selector_, cfg, experience_.get());
-    searched = search.run(grid, deadline);
-  } else {
-    mcts::CombMcts search(*selector_, cfg, experience_.get());
-    searched = search.run(grid, deadline);
-  }
+  mcts::CombMcts search(*selector_, cfg, experience_.get());
+  const mcts::CombMctsResult searched = search.run(grid, deadline);
   stats_ = searched.stats;
 
   // Final construction (removal ON, mirroring RlRouter): the search's raw
   // state costs keep redundant points visible, but the tree we hand back
-  // should not contain them.  An expired deadline routes the best-so-far
-  // combination (every candidate was exact-evaluated, so this is always a
-  // valid routed state — the anytime invariant); a completed search keeps
-  // the executed combination, preserving the unbounded behaviour bitwise.
-  const std::vector<hanan::Vertex>& combination =
-      searched.stats.deadline_hit ? searched.best_selected : searched.selected;
+  // should not contain them.  Removal can make the executed combination
+  // build a dearer tree than the best evaluated one, and the plain
+  // no-Steiner construction keeps a degenerate search from ever losing to
+  // "route the pins directly" — so build all three (each distinct one
+  // once) and keep the cheapest connected tree, the earliest on ties.
+  // Every candidate was exact-evaluated by the search, so an expired
+  // deadline still routes a valid state (the anytime invariant).
+  const std::vector<hanan::Vertex> no_steiner;
+  const std::vector<hanan::Vertex>* candidates[] = {
+      &searched.selected, &searched.best_selected, &no_steiner};
   route::OarmstRouter router(grid);
   route::RouterScratch& scratch = route::local_router_scratch();
-  route::OarmstResult result = router.build(grid.pins(), combination, &scratch);
-
-  // The executed combination is terminal-rule greedy; the plain no-Steiner
-  // construction is free to compare against and keeps a degenerate search
-  // from ever losing to "route the pins directly".
-  if (!combination.empty()) {
-    route::OarmstResult plain = router.build(grid.pins(), {}, &scratch);
-    if (plain.connected && (!result.connected || plain.cost < result.cost)) {
-      result = std::move(plain);
+  route::OarmstResult result;
+  for (std::size_t i = 0; i < std::size(candidates); ++i) {
+    const std::vector<hanan::Vertex>& combination = *candidates[i];
+    if (std::any_of(candidates, candidates + i,
+                    [&](const auto* c) { return *c == combination; })) {
+      continue;
+    }
+    route::OarmstResult built = router.build(grid.pins(), combination, &scratch);
+    if (i == 0 || (built.connected && (!result.connected || built.cost < result.cost))) {
+      result = std::move(built);
     }
   }
 

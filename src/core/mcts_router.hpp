@@ -7,7 +7,7 @@
 // an inference engine — orders of magnitude slower than "rl-ours", but the
 // strongest tree the repository can produce for a single net, and the
 // natural consumer of the tree-parallel search (CombMctsConfig's
-// search_workers / eval_batch / flush_us knobs, DESIGN.md §15).
+// search_workers, DESIGN.md §15).
 
 #include <memory>
 
@@ -21,7 +21,7 @@ class MctsRouter : public steiner::Router {
  public:
   /// `config.iterations_per_move` is the paper's alpha at the 16x16x4
   /// reference size; route() rescales it to each layout via
-  /// mcts::scaled_iterations.  search_workers != 1 runs the tree-parallel
+  /// mcts::scaled_iterations.  search_workers > 1 runs the tree-parallel
   /// search (0 = hardware concurrency).
   ///
   /// `experience` (optional) attaches a tiered experience store: the
@@ -36,13 +36,15 @@ class MctsRouter : public steiner::Router {
   std::string name() const override { return "rl-mcts"; }
 
   /// Search, then final OARMST construction (redundant-point removal on)
-  /// over pins + the searched combination — the same final flow as Fig. 2.
+  /// — the same final flow as Fig. 2 — over pins plus the executed
+  /// combination, the best evaluated combination and no Steiner points;
+  /// the cheapest connected tree of the three is returned.
   route::OarmstResult route(const hanan::HananGrid& grid) override;
 
   /// Anytime entry (DESIGN.md §16): same as route() but the search runs
-  /// against `deadline`.  When it fires, the returned tree is built from
-  /// the best fully-evaluated combination so far (never an invalid
-  /// partial) and last_stats().deadline_hit is set.
+  /// against `deadline`.  When it fires, the candidates are the states
+  /// the search reached so far (every one fully evaluated, never an
+  /// invalid partial) and last_stats().deadline_hit is set.
   route::OarmstResult route(const hanan::HananGrid& grid,
                             const mcts::SearchDeadline& deadline);
 

@@ -49,7 +49,6 @@
 #include "rl/selector.hpp"
 #include "rl/seq_trainer.hpp"
 #include "rl/trainer.hpp"
-#include "route/astar.hpp"
 #include "route/oarmst.hpp"
 #include "serve/canonical.hpp"
 #include "serve/metrics.hpp"

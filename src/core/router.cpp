@@ -70,8 +70,8 @@ void Router::ensure_engine() {
     engine_ = std::make_unique<RlRouter>(shared_selector(), options_.rl);
   } else if (options_.engine == "rl-mcts") {
     // Constructed directly so options_.mcts (iterations, search_workers,
-    // eval_batch, flush_us, warm_start) applies; the shared experience
-    // store (when configured) feeds warm starts and collects episodes.
+    // warm_start) applies; the shared experience store (when configured)
+    // feeds warm starts and collects episodes.
     auto mcts_router = std::make_unique<MctsRouter>(
         shared_selector(), options_.mcts, shared_experience());
     mcts_engine_ = mcts_router.get();

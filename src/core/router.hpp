@@ -55,9 +55,8 @@ struct RouterOptions {
   std::string engine = "rl-ours";
   /// RL-engine knobs (prefix sweep); ignored by baseline engines.
   RlRouterConfig rl;
-  /// Search-engine knobs for "rl-mcts" (iterations, search_workers /
-  /// eval_batch / flush_us for the tree-parallel search); ignored by every
-  /// other engine.
+  /// Search-engine knobs for "rl-mcts" (iterations, search_workers for
+  /// the tree-parallel search, warm start); ignored by every other engine.
   mcts::CombMctsConfig mcts;
   /// Route through serve::RouterService (micro-batching + symmetry cache)
   /// instead of the direct single-shot path.  RL engine only.

@@ -1,8 +1,14 @@
 #include "mcts/comb_mcts.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
 
 #include "experience/warm_start.hpp"
 #include "obs/metrics.hpp"
@@ -19,6 +25,8 @@ struct MctsObs {
   obs::Counter& simulations;
   obs::Counter& expansions;
   obs::Histogram& episode_seconds;
+  obs::Counter& vloss_reverts;
+  obs::Counter& eval_waits;
 };
 
 MctsObs& mcts_obs() {
@@ -32,30 +40,57 @@ MctsObs& mcts_obs() {
       reg.counter("oar_mcts_expansions_total", "Node expansions across all episodes"),
       reg.histogram("oar_mcts_episode_seconds", obs::latency_buckets(),
                     "Wall time per CombMcts episode"),
+      reg.counter("oar_mcts_vloss_reverts_total",
+                  "Virtual losses reverted during backup (== applied when quiescent)"),
+      reg.counter("oar_mcts_eval_waits_total",
+                  "Descents that waited on another worker's leaf evaluation"),
   };
   return o;
 }
 
+// `vloss` counts in-flight descents through this edge; it is stamped during
+// selection and reverted during backup, and therefore ZERO whenever the
+// tree is quiescent.
 struct Edge {
   Vertex action = hanan::kInvalidVertex;
   double prior = 0.0;
   std::int64_t visits = 0;
   double total_value = 0.0;
   std::int32_t child = -1;  // node index, -1 until materialized
-
-  double q() const { return visits == 0 ? 0.0 : total_value / double(visits); }
+  std::int32_t vloss = 0;   // in-flight descents (virtual loss), >= 0
 };
 
 struct Node {
   std::int32_t parent = -1;
   Vertex action = hanan::kInvalidVertex;  // action leading here
   std::int64_t action_priority = -1;
-  std::int32_t level = 0;       // number of selected Steiner points
-  std::int32_t flat_run = 0;    // consecutive flat-cost actions
-  double cost = -1.0;           // exact raw state cost, -1 until computed
+  std::int32_t level = 0;     // number of selected Steiner points
+  std::int32_t flat_run = 0;  // consecutive flat-cost actions
+  double cost = -1.0;         // exact raw state cost, -1 until computed
   bool expanded = false;
   bool terminal = false;
+  // A worker has claimed this leaf and is evaluating it outside the tree
+  // lock; other descents arriving here wait on eval_cv instead of
+  // duplicating the (expensive) evaluation.
+  bool eval_busy = false;
   std::vector<Edge> edges;
+};
+
+struct Step {
+  std::int32_t node;
+  std::size_t edge;
+};
+
+// Per-worker private state: the ActorCritic (forward on the worker's own
+// selector, routing scratch) and reusable buffers.  Nothing here is shared,
+// so the only synchronization in the search is the tree mutex.
+struct Worker {
+  ActorCritic ac;
+  std::vector<double> fsp;       // priority order
+  std::vector<Vertex> selected;  // leaf state snapshot
+  std::vector<Step> path;        // descent path of the current iteration
+
+  Worker(rl::SteinerSelector& selector, const HananGrid& grid) : ac(selector, grid) {}
 };
 
 }  // namespace
@@ -84,12 +119,8 @@ void CombMctsConfig::validate() const {
                     "CombMctsConfig", "prior_uniform_mix", "be in [0, 1]",
                     prior_uniform_mix);
   util::check_field(search_workers >= 0, "CombMctsConfig", "search_workers",
-                    "be >= 0 (0 = hardware concurrency, 1 = serial)",
+                    "be >= 0 (0 = hardware concurrency, 1 = one worker)",
                     search_workers);
-  util::check_field(eval_batch >= 1, "CombMctsConfig", "eval_batch", "be >= 1",
-                    eval_batch);
-  util::check_field(flush_us >= 0, "CombMctsConfig", "flush_us",
-                    "be non-negative", flush_us);
   util::check_field(warm_start_weight >= 0.0 && warm_start_weight <= 1.0,
                     "CombMctsConfig", "warm_start_weight", "be in [0, 1]",
                     warm_start_weight);
@@ -101,39 +132,45 @@ CombMcts::CombMcts(rl::SteinerSelector& selector, CombMctsConfig config,
                    const experience::Store* experience)
     : selector_(selector), config_(config), experience_(experience) {
   config_.validate();
+  const std::int32_t workers =
+      config_.search_workers == 0
+          ? std::max<std::int32_t>(1, std::int32_t(std::thread::hardware_concurrency()))
+          : config_.search_workers;
+  for (std::int32_t i = 1; i < workers; ++i) replicas_.push_back(selector_.replica());
 }
 
-CombMctsResult CombMcts::run(const HananGrid& grid,
-                             const SearchDeadline& deadline) {
+CombMcts::~CombMcts() = default;
+
+CombMctsResult CombMcts::run(const HananGrid& grid, const SearchDeadline& deadline) {
   util::Timer timer;
   CombMctsResult result;
   const auto n_vertices = std::size_t(grid.num_vertices());
   result.label.assign(n_vertices, 0.0f);
   result.label_mask.assign(n_vertices, 0.0f);
 
-  ActorCritic ac(selector_, grid);
-  const std::int32_t budget = std::max<std::int32_t>(0, std::int32_t(grid.pins().size()) - 2);
+  const std::int32_t budget =
+      std::max<std::int32_t>(0, std::int32_t(grid.pins().size()) - 2);
+
+  std::deque<Worker> workers;  // deque: Worker is neither movable nor copyable
+  workers.emplace_back(selector_, grid);
+  for (const auto& replica : replicas_) workers.emplace_back(*replica, grid);
 
   // Per-vertex selection statistics (eq. (3)), indexed by priority.
   std::vector<std::int64_t> n_sel(n_vertices, 0), n_opp(n_vertices, 0);
 
-  std::vector<Node> nodes;
-  nodes.reserve(1024);
+  // deque: stable node references across materialization.
+  std::deque<Node> nodes;
   nodes.emplace_back();  // root
-  nodes[0].cost = ac.exact_cost({});
+  nodes[0].cost = workers[0].ac.exact_cost({});
   result.initial_cost = nodes[0].cost;
   result.final_cost = nodes[0].cost;
   result.best_cost = nodes[0].cost;
-  // Node achieving best_cost.  Every candidate has had its exact routing
-  // cost computed, so the state it denotes is always a valid routed answer.
-  std::int32_t best_node = 0;
 
   const double rc0 = std::max(nodes[0].cost, 1e-12);
-  if (!std::isfinite(nodes[0].cost)) {
-    // Pins themselves are unroutable: no Steiner selection can help, and
-    // every value below would be NaN.  Report the degenerate episode.
-    nodes[0].terminal = true;
-  }
+  // Unroutable pins: no Steiner selection can help, and every value below
+  // would be NaN.  Report the degenerate episode.
+  if (!std::isfinite(nodes[0].cost)) nodes[0].terminal = true;
+  if (budget == 0) nodes[0].terminal = true;
 
   // Normalized state value.  Disconnected states (cost == +inf, see
   // OarmstResult::cost) map to a finite penalty well below any reachable
@@ -144,38 +181,11 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
     return std::isfinite(cost) ? (rc0 - cost) / rc0 : -2.0;
   };
 
-  // State of a node: Steiner points along the path from the root.
-  auto state_of = [&](std::int32_t node) {
-    std::vector<Vertex> selected;
-    for (std::int32_t cur = node; cur != 0; cur = nodes[std::size_t(cur)].parent) {
-      selected.push_back(nodes[std::size_t(cur)].action);
-    }
-    std::reverse(selected.begin(), selected.end());
-    return selected;
-  };
-
-  auto mark_terminal_rules = [&](Node& node, const Node& parent) {
-    if (node.level >= budget) node.terminal = true;
-    const double parent_cost = parent.cost;
-    if (config_.stop_on_cost_increase &&
-        node.cost > parent_cost * (1.0 + config_.flat_eps)) {
-      node.terminal = true;
-    }
-    if (std::abs(node.cost - parent_cost) <= parent_cost * config_.flat_eps) {
-      node.flat_run = parent.flat_run + 1;
-      if (node.flat_run >= config_.flat_cost_patience) node.terminal = true;
-    } else {
-      node.flat_run = 0;
-    }
-  };
-
-  if (budget == 0) nodes[0].terminal = true;
-
   // --- persistent-experience warm start (DESIGN.md §18) ---
-  // Resolved once, before the first iteration.  With warm_start off, no
-  // store attached, or no applicable experience, `warm` stays empty and
-  // every warm branch below is dead — the search is bitwise the cold
-  // search.
+  // Resolved once, before any worker starts; applied at the initial root's
+  // expansion commit under the tree lock.  With warm_start off, no store
+  // attached, or no applicable experience, `warm` stays empty and every
+  // warm branch below is dead — the search is bitwise the cold search.
   experience::WarmStart warm;
   std::vector<Vertex> warm_best;  // floor combination, request space
   bool best_is_warm = false;      // the floor currently holds best_cost
@@ -189,7 +199,7 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
       // Re-evaluate the recorded combination under THIS search's exact
       // cost model and adopt it as the best-so-far floor: a replayed
       // layout can then never finish worse than its recorded episode.
-      const double floor_cost = ac.exact_cost(warm.best);
+      const double floor_cost = workers[0].ac.exact_cost(warm.best);
       ++result.stats.simulations;
       warm_first = warm.best.front();  // priority-sorted: the first action
       warm_seed_value = value_of(floor_cost);
@@ -201,97 +211,182 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
     }
   }
 
-  // fsp buffer reused across every expansion: with the selector in
-  // inference mode the whole evaluate step is then allocation-free.
-  std::vector<double> fsp(std::size_t(n_vertices), 0.0);
-
+  std::mutex tree_mu;
+  std::condition_variable eval_cv;
+  std::atomic<std::int32_t> tickets{0};
+  std::exception_ptr first_error;
   std::int32_t root = 0;
-  while (!nodes[std::size_t(root)].terminal) {
-    // --- alpha UCT iterations from the current root ---
-    for (std::int32_t iter = 0; iter < config_.iterations_per_move; ++iter) {
-      // Anytime control: checked at iteration granularity, but the very
-      // first iteration of the run always executes so a zero-slack request
-      // still gets one evaluated expansion (the one-iteration fallback).
-      if (deadline && result.stats.iterations > 0 &&
-          SearchClock::now() >= *deadline) {
-        result.stats.deadline_hit = true;
-        break;
-      }
-      ++result.stats.iterations;
-      std::int32_t cur = root;
+  // Node achieving best_cost (tree lock).  Its exact cost was computed, so
+  // the state it denotes is always a valid routed answer.
+  std::int32_t best_node = 0;
+  // Anytime bookkeeping: iterations fully completed (any worker), and
+  // whether any worker observed the deadline as expired.
+  std::atomic<std::int64_t> completed{0};
+  std::atomic<bool> deadline_expired{false};
 
-      // Selection: descend through expanded, non-terminal nodes.
-      struct Step {
-        std::int32_t node;
-        std::size_t edge;
-      };
-      std::vector<Step> path;
-      while (nodes[std::size_t(cur)].expanded && !nodes[std::size_t(cur)].terminal) {
-        Node& node = nodes[std::size_t(cur)];
-        assert(!node.edges.empty());
-        std::int64_t total_visits = 0;
-        for (const Edge& e : node.edges) total_visits += e.visits;
-        const double sqrt_total = std::sqrt(double(total_visits));
+  // State of a node (tree lock must be held): path actions root -> node.
+  auto state_of_into = [&](std::int32_t node, std::vector<Vertex>& out) {
+    out.clear();
+    for (std::int32_t cur = node; cur != 0; cur = nodes[std::size_t(cur)].parent) {
+      out.push_back(nodes[std::size_t(cur)].action);
+    }
+    std::reverse(out.begin(), out.end());
+  };
 
-        std::size_t best = 0;
-        double best_score = -1e300;
-        for (std::size_t i = 0; i < node.edges.size(); ++i) {
-          const Edge& e = node.edges[i];
-          const double u =
-              config_.c_puct * e.prior * sqrt_total / (1.0 + double(e.visits));
-          double score = e.q() + u;
-          if (total_visits == 0) score = e.prior;  // cold node: order by prior
-          if (score > best_score) {
-            best_score = score;
-            best = i;
-          }
+  // Terminal rules (paper Sec. 3.4) on snapshot values: sets `terminal`
+  // and computes the node's flat-cost run.
+  auto terminal_rules = [&](std::int32_t level, double cost, double parent_cost,
+                            std::int32_t parent_flat_run, bool& terminal,
+                            std::int32_t& flat_run) {
+    if (level >= budget) terminal = true;
+    if (config_.stop_on_cost_increase &&
+        cost > parent_cost * (1.0 + config_.flat_eps)) {
+      terminal = true;
+    }
+    if (std::abs(cost - parent_cost) <= parent_cost * config_.flat_eps) {
+      flat_run = parent_flat_run + 1;
+      if (flat_run >= config_.flat_cost_patience) terminal = true;
+    } else {
+      flat_run = 0;
+    }
+  };
+
+  // One UCT iteration: descend under the tree lock, evaluate the leaf
+  // outside it, commit + backup under the lock again.
+  auto run_iteration = [&](Worker& w) {
+    std::unique_lock<std::mutex> lock(tree_mu);
+    std::int32_t cur = root;
+    w.path.clear();
+
+    // --- selection ---
+    for (;;) {
+      Node& node = nodes[std::size_t(cur)];
+      if (node.terminal) break;
+      if (!node.expanded) {
+        if (node.eval_busy) {
+          // Another worker is evaluating this exact leaf: wait for its
+          // result rather than duplicating the evaluation, then re-examine
+          // (the node may now be expanded — descend into it — or terminal).
+          ++result.stats.eval_waits;
+          eval_cv.wait(lock, [&] { return !nodes[std::size_t(cur)].eval_busy; });
+          continue;
         }
-
-        // eq. (3) bookkeeping: every candidate gets an opportunity, the
-        // chosen one a selection.
-        for (const Edge& e : node.edges) {
-          ++n_opp[std::size_t(grid.priority_of(e.action))];
-        }
-        ++n_sel[std::size_t(grid.priority_of(node.edges[best].action))];
-
-        path.push_back({cur, best});
-        Edge& edge = node.edges[best];
-        if (edge.child < 0) {
-          // Materialize the child node.
-          Node child;
-          child.parent = cur;
-          child.action = edge.action;
-          child.action_priority = grid.priority_of(edge.action);
-          child.level = node.level + 1;
-          edge.child = std::int32_t(nodes.size());
-          nodes.push_back(child);
-          ++result.stats.nodes;
-          // NOTE: `node` and `edge` references are invalidated by push_back.
-        }
-        cur = nodes[std::size_t(path.back().node)].edges[path.back().edge].child;
+        break;  // fresh leaf: this worker claims it below
       }
 
-      // Leaf evaluation.
+      assert(!node.edges.empty());
+      // Selection score over EFFECTIVE statistics (visits + vloss,
+      // total_value - vloss): each in-flight descent counts as one visit
+      // with the worst connected outcome, steering concurrent workers
+      // apart.  With vloss == 0 everywhere these are the plain UCT
+      // expressions, bit for bit.
+      std::int64_t total_visits = 0;
+      for (const Edge& e : node.edges) total_visits += e.visits + e.vloss;
+      const double sqrt_total = std::sqrt(double(total_visits));
+
+      std::size_t best = 0;
+      double best_score = -1e300;
+      for (std::size_t i = 0; i < node.edges.size(); ++i) {
+        const Edge& e = node.edges[i];
+        const std::int64_t n_eff = e.visits + e.vloss;
+        double q;
+        if (e.vloss == 0) {
+          q = e.visits == 0 ? 0.0 : e.total_value / double(e.visits);
+        } else {
+          q = (e.total_value - double(e.vloss)) / double(n_eff);
+        }
+        const double u =
+            config_.c_puct * e.prior * sqrt_total / (1.0 + double(n_eff));
+        double score = q + u;
+        if (total_visits == 0) score = e.prior;  // cold node: order by prior
+        if (score > best_score) {
+          best_score = score;
+          best = i;
+        }
+      }
+
+      // eq. (3) bookkeeping: every candidate gets an opportunity, the
+      // chosen one a selection.
+      for (const Edge& e : node.edges) {
+        ++n_opp[std::size_t(grid.priority_of(e.action))];
+      }
+      ++n_sel[std::size_t(grid.priority_of(node.edges[best].action))];
+
+      w.path.push_back({cur, best});
+      Edge& edge = node.edges[best];
+      edge.vloss += 1;
+      ++result.stats.vloss_applied;
+      if (edge.child < 0) {
+        Node child;
+        child.parent = cur;
+        child.action = edge.action;
+        child.action_priority = grid.priority_of(edge.action);
+        child.level = node.level + 1;
+        edge.child = std::int32_t(nodes.size());
+        nodes.push_back(std::move(child));
+        ++result.stats.nodes;
+      }
+      cur = edge.child;
+    }
+
+    auto backup = [&](double value) {
+      for (const Step& step : w.path) {
+        Edge& e = nodes[std::size_t(step.node)].edges[step.edge];
+        e.vloss -= 1;
+        ++result.stats.vloss_reverted;
+        e.visits += 1;
+        e.total_value += value;
+      }
+    };
+
+    // --- terminal leaf: no evaluation needed, commit under the same lock.
+    if (nodes[std::size_t(cur)].terminal) {
+      backup(value_of(nodes[std::size_t(cur)].cost));
+      return;
+    }
+
+    // --- claim the leaf and snapshot everything the evaluation reads.
+    // Parent cost/flat_run are immutable by now: they were committed when
+    // the parent itself was evaluated, strictly before any child existed.
+    double leaf_cost, parent_cost = 0.0;
+    std::int32_t leaf_level, leaf_flat_run, parent_flat_run = 0;
+    std::int64_t leaf_action_priority;
+    {
       Node& leaf = nodes[std::size_t(cur)];
-      const std::vector<Vertex> selected = state_of(cur);
-
-      if (leaf.cost < 0.0) {
-        leaf.cost = ac.exact_cost(selected);
-        mark_terminal_rules(leaf, nodes[std::size_t(leaf.parent)]);
-        if (leaf.cost < result.best_cost) {
-          result.best_cost = leaf.cost;
-          best_node = cur;
-          best_is_warm = false;
-        }
+      leaf.eval_busy = true;
+      leaf_cost = leaf.cost;
+      leaf_level = leaf.level;
+      leaf_flat_run = leaf.flat_run;
+      leaf_action_priority = leaf.action_priority;
+      if (leaf.parent >= 0) {
+        const Node& parent = nodes[std::size_t(leaf.parent)];
+        parent_cost = parent.cost;
+        parent_flat_run = parent.flat_run;
       }
+      state_of_into(cur, w.selected);
+    }
+    lock.unlock();
 
-      double value;
-      if (leaf.terminal) {
-        value = value_of(leaf.cost);
-      } else if (!leaf.expanded) {
-        // Expansion: children from the actor policy.
-        ac.fsp_into(selected, fsp);
-        auto policy = ac.policy(selected, leaf.action_priority, fsp);
+    double value = 0.0;
+    double cost = leaf_cost;
+    bool terminal = false;
+    bool expanded = false;
+    std::int32_t flat_run = leaf_flat_run;
+    const bool need_cost = leaf_cost < 0.0;
+    std::vector<Edge> new_edges;
+    try {
+      if (need_cost) {
+        cost = w.ac.exact_cost(w.selected);
+        terminal_rules(leaf_level, cost, parent_cost, parent_flat_run, terminal,
+                       flat_run);
+      }
+      if (terminal) {
+        value = value_of(cost);
+      } else {
+        // Expansion: children from the actor policy, on the worker's own
+        // selector.
+        w.ac.fsp_into(w.selected, w.fsp);
+        auto policy = w.ac.policy(w.selected, leaf_action_priority, w.fsp);
         if (config_.max_children > 0 &&
             std::ssize(policy) > config_.max_children) {
           std::partial_sort(policy.begin(), policy.begin() + config_.max_children,
@@ -306,106 +401,165 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
           }
         }
         if (policy.empty()) {
-          leaf.terminal = true;
-          value = value_of(leaf.cost);
+          terminal = true;
+          value = value_of(cost);
         } else {
           const double mix = config_.prior_uniform_mix;
           const double uniform = 1.0 / double(policy.size());
-          leaf.edges.reserve(policy.size());
+          new_edges.reserve(policy.size());
           for (const auto& [v, p] : policy) {
             Edge e;
             e.action = v;
             e.prior = (1.0 - mix) * p + mix * uniform;
-            leaf.edges.push_back(e);
+            new_edges.push_back(e);
           }
-          if (cur == 0 && !warm.empty()) {
-            // Warm start at the initial root: blend the experience prior
-            // (renormalized over the actual child set) into the expansion
-            // priors, P' = (1-λ)·P_search + λ·P_exp, then seed synthetic
-            // visits on the recorded first action of an exact match so UCT
-            // resumes from the recorded trajectory's statistics.
-            if (!warm.prior.empty()) {
-              double mass = 0.0;
-              for (const Edge& e : leaf.edges) {
-                mass +=
-                    double(warm.prior[std::size_t(grid.priority_of(e.action))]);
-              }
-              if (mass > 0.0) {
-                const double lam = config_.warm_start_weight;
-                for (Edge& e : leaf.edges) {
-                  const double p_exp =
-                      double(warm.prior[std::size_t(grid.priority_of(e.action))]) /
-                      mass;
-                  e.prior = (1.0 - lam) * e.prior + lam * p_exp;
-                }
-              }
-            }
-            if (warm_first != hanan::kInvalidVertex &&
-                config_.warm_start_visits > 0) {
-              for (Edge& e : leaf.edges) {
-                if (e.action == warm_first) {
-                  e.visits += config_.warm_start_visits;
-                  e.total_value +=
-                      double(config_.warm_start_visits) * warm_seed_value;
-                  break;
-                }
-              }
-            }
-          }
-          leaf.expanded = true;
-          ++result.stats.expansions;
-
+          expanded = true;
           // Simulation: critic completion (or exact state cost in
           // curriculum mode).
-          ++result.stats.simulations;
-          const double predicted = config_.use_critic
-                                       ? ac.critic_cost(selected, budget, fsp)
-                                       : leaf.cost;
+          const double predicted =
+              config_.use_critic ? w.ac.critic_cost(w.selected, budget, w.fsp) : cost;
           value = value_of(predicted);
         }
-      } else {
-        value = value_of(leaf.cost);  // terminal reached via descent
       }
-
-      // Backpropagation.
-      for (const Step& step : path) {
-        Edge& e = nodes[std::size_t(step.node)].edges[step.edge];
-        e.visits += 1;
-        e.total_value += value;
+    } catch (...) {
+      // Release the claim and revert the stamped virtual losses (no visit,
+      // no value) so waiters unblock and the tree stays consistent, then
+      // let the worker loop surface the error.
+      lock.lock();
+      nodes[std::size_t(cur)].eval_busy = false;
+      for (const Step& step : w.path) {
+        nodes[std::size_t(step.node)].edges[step.edge].vloss -= 1;
+        ++result.stats.vloss_reverted;
       }
+      lock.unlock();
+      eval_cv.notify_all();
+      throw;
     }
 
-    // A hit deadline ends the whole search: best_selected already denotes
-    // the best fully-evaluated state, so executing further moves (and the
-    // exact_cost call that entails) would only spend budget we do not have.
-    if (result.stats.deadline_hit) break;
+    // --- commit + backup ---
+    lock.lock();
+    Node& leaf = nodes[std::size_t(cur)];
+    if (need_cost) {
+      leaf.cost = cost;
+      leaf.flat_run = flat_run;
+      if (cost < result.best_cost) {
+        result.best_cost = cost;
+        best_node = cur;
+        best_is_warm = false;
+      }
+    }
+    if (terminal) leaf.terminal = true;
+    if (expanded) {
+      leaf.edges = std::move(new_edges);
+      if (cur == 0 && !warm.empty()) {
+        // Warm start at the initial root (expanded exactly once): blend the
+        // experience prior (renormalized over the actual child set) into
+        // the expansion priors, P' = (1-λ)·P_search + λ·P_exp, then seed
+        // synthetic visits on the recorded first action of an exact match
+        // so UCT resumes from the recorded trajectory's statistics.
+        if (!warm.prior.empty()) {
+          double mass = 0.0;
+          for (const Edge& e : leaf.edges) {
+            mass += double(warm.prior[std::size_t(grid.priority_of(e.action))]);
+          }
+          if (mass > 0.0) {
+            const double lam = config_.warm_start_weight;
+            for (Edge& e : leaf.edges) {
+              const double p_exp =
+                  double(warm.prior[std::size_t(grid.priority_of(e.action))]) / mass;
+              e.prior = (1.0 - lam) * e.prior + lam * p_exp;
+            }
+          }
+        }
+        if (warm_first != hanan::kInvalidVertex && config_.warm_start_visits > 0) {
+          for (Edge& e : leaf.edges) {
+            if (e.action == warm_first) {
+              e.visits += config_.warm_start_visits;
+              e.total_value += double(config_.warm_start_visits) * warm_seed_value;
+              break;
+            }
+          }
+        }
+      }
+      leaf.expanded = true;
+      ++result.stats.expansions;
+      ++result.stats.simulations;
+    }
+    leaf.eval_busy = false;
+    backup(value);
+    lock.unlock();
+    eval_cv.notify_all();
+  };
 
-    // --- execute the most-visited root action ---
+  auto worker_loop = [&](Worker& w) {
+    try {
+      for (;;) {
+        // Anytime control at iteration granularity.  The completed > 0
+        // guard keeps the run's very first iteration alive even under an
+        // already-expired deadline (the zero-slack fallback); concurrent
+        // workers may each run one such iteration, which only strengthens
+        // the fallback.
+        if (deadline && completed.load(std::memory_order_relaxed) > 0 &&
+            SearchClock::now() >= *deadline) {
+          deadline_expired.store(true, std::memory_order_relaxed);
+          tickets.store(0, std::memory_order_relaxed);
+          break;
+        }
+        if (tickets.fetch_sub(1, std::memory_order_relaxed) <= 0) break;
+        run_iteration(w);
+        completed.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(tree_mu);
+      if (!first_error) first_error = std::current_exception();
+      tickets.store(0, std::memory_order_relaxed);
+    }
+  };
+
+  // Virtual-loss invariant: between root moves the tree is quiescent, so
+  // every stamp must have been reverted.  Violations are real bugs (a lost
+  // backup or a leaked claim), never timing noise — fail loudly.
+  auto check_vloss_clean = [&] {
+    for (const Node& n : nodes) {
+      for (const Edge& e : n.edges) {
+        if (e.vloss != 0) {
+          throw std::logic_error("CombMcts: virtual loss not reverted after move");
+        }
+      }
+    }
+    if (result.stats.vloss_applied != result.stats.vloss_reverted) {
+      throw std::logic_error("CombMcts: vloss applied/reverted counters diverged");
+    }
+  };
+
+  while (!nodes[std::size_t(root)].terminal) {
+    // --- alpha UCT iterations from the current root, K workers ---
+    tickets.store(config_.iterations_per_move, std::memory_order_relaxed);
+    std::vector<std::thread> threads;
+    threads.reserve(workers.size() - 1);
+    for (std::size_t i = 1; i < workers.size(); ++i) {
+      threads.emplace_back([&, i] { worker_loop(workers[i]); });
+    }
+    worker_loop(workers[0]);  // the caller is worker 0 (K == 1 never spawns)
+    for (std::thread& t : threads) t.join();
+    if (first_error) std::rethrow_exception(first_error);
+    result.stats.iterations = completed.load(std::memory_order_relaxed);
+    check_vloss_clean();
+    if (deadline_expired.load(std::memory_order_relaxed)) {
+      // best_selected already denotes the best fully-evaluated state, so
+      // executing further moves (and the exact_cost call that entails)
+      // would only spend budget the caller no longer has.
+      result.stats.deadline_hit = true;
+      break;
+    }
+
+    // --- execute the most-visited root action (single-threaded again) ---
     Node& root_node = nodes[std::size_t(root)];
     if (!root_node.expanded || root_node.edges.empty()) break;
     std::size_t best = 0;
     for (std::size_t i = 1; i < root_node.edges.size(); ++i) {
       if (root_node.edges[i].visits > root_node.edges[best].visits) best = i;
     }
-#ifdef OAR_MCTS_DEBUG
-    {
-      std::vector<std::size_t> order(root_node.edges.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return root_node.edges[a].visits > root_node.edges[b].visits;
-      });
-      std::fprintf(stderr, "[mcts] root cost=%.0f children=%zu:", root_node.cost,
-                   root_node.edges.size());
-      for (std::size_t i = 0; i < std::min<std::size_t>(5, order.size()); ++i) {
-        const Edge& e = root_node.edges[order[i]];
-        const double child_cost =
-            e.child >= 0 ? nodes[std::size_t(e.child)].cost : -1.0;
-        std::fprintf(stderr, "  [N=%lld Q=%.4f P=%.5f cost=%.0f]",
-                     (long long)e.visits, e.q(), e.prior, child_cost);
-      }
-      std::fprintf(stderr, "\n");
-    }
-#endif
     Edge& chosen = root_node.edges[best];
     if (chosen.child < 0) break;  // never explored: nothing to execute
     root = chosen.child;
@@ -413,8 +567,14 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
 
     Node& new_root = nodes[std::size_t(root)];
     if (new_root.cost < 0.0) {
-      new_root.cost = ac.exact_cost(state_of(root));
-      mark_terminal_rules(new_root, nodes[std::size_t(new_root.parent)]);
+      state_of_into(root, workers[0].selected);
+      new_root.cost = workers[0].ac.exact_cost(workers[0].selected);
+      bool terminal = false;
+      terminal_rules(new_root.level, new_root.cost,
+                     nodes[std::size_t(new_root.parent)].cost,
+                     nodes[std::size_t(new_root.parent)].flat_run, terminal,
+                     new_root.flat_run);
+      if (terminal) new_root.terminal = true;
     }
     if (new_root.cost < result.best_cost) {
       result.best_cost = new_root.cost;
@@ -423,8 +583,12 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
     }
   }
 
-  result.selected = state_of(root);
-  result.best_selected = best_is_warm ? warm_best : state_of(best_node);
+  state_of_into(root, result.selected);
+  if (best_is_warm) {
+    result.best_selected = warm_best;
+  } else {
+    state_of_into(best_node, result.best_selected);
+  }
   result.final_cost = nodes[std::size_t(root)].cost;
 
   // eq. (3): L_fsp(v) = n_sel / n_opp, in priority order.  The mask marks
@@ -445,6 +609,8 @@ CombMctsResult CombMcts::run(const HananGrid& grid,
   o.iterations.add(std::uint64_t(result.stats.iterations));
   o.simulations.add(std::uint64_t(result.stats.simulations));
   o.expansions.add(std::uint64_t(result.stats.expansions));
+  o.vloss_reverts.add(std::uint64_t(result.stats.vloss_reverted));
+  o.eval_waits.add(std::uint64_t(result.stats.eval_waits));
   o.episode_seconds.observe(result.stats.seconds);
   return result;
 }

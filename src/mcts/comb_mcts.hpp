@@ -15,9 +15,36 @@
 // Terminal states (Sec. 3.4): (1) n-2 Steiner points placed, (2) the last
 // action increased the routing cost, (3) cost flat for three consecutive
 // actions.
+//
+// Tree parallelism (DESIGN.md §15): `search_workers` workers descend ONE
+// shared tree.
+//
+//   * Virtual loss: each descent stamps an integer virtual loss on every
+//     edge it traverses (one pessimistic phantom visit: effective visits
+//     n+vl, effective value sum W-vl) and reverts it during backup, so
+//     concurrent workers spread over different subtrees.  The counter is
+//     kept apart from visits/value, so with one worker (virtual losses
+//     never observed non-zero) every selection computes the plain UCT
+//     expressions and the search is deterministic.
+//   * Each worker expands leaves through its own ActorCritic::fsp_into.
+//     Worker 0 is the calling thread on the caller's selector; workers
+//     1..K-1 run on selector replicas (same weights, precision and int8
+//     pack, private forward state) built once per CombMcts object.  K = 1
+//     therefore starts no thread and builds no replica.
+//   * Tree mutations (selection bookkeeping, expansion commit, backup) are
+//     serialized by one tree mutex; evaluations — nearly all of the wall
+//     time — run outside it.  A worker reaching a leaf another worker is
+//     already evaluating waits for that result instead of duplicating it
+//     (stats.eval_waits).
+//
+// After every root move the search self-checks the virtual-loss invariant
+// (every edge back to zero, applied == reverted) and throws on violation.
+// At K > 1 the iteration interleaving depends on thread timing, so labels
+// are distribution-equivalent to the one-worker labels, not bitwise equal.
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "mcts/actor_critic.hpp"
@@ -59,16 +86,11 @@ struct CombMctsConfig {
   /// untrained selector and UCT never explores them.
   double prior_uniform_mix = 0.15;
 
-  // --- tree-parallel search (ParallelCombMcts, DESIGN.md §15) ---
+  // --- tree parallelism (DESIGN.md §15) ---
   /// Concurrent tree workers sharing one search tree under virtual loss.
-  /// 1 = serial semantics (ParallelCombMcts is then bitwise-identical to
-  /// CombMcts); 0 = hardware concurrency.  Ignored by the serial CombMcts.
+  /// 1 = one deterministic worker on the calling thread; 0 = hardware
+  /// concurrency.
   std::int32_t search_workers = 1;
-  /// Max same-shape leaf inferences the EvalServer fuses into one
-  /// Module::forward_batch pass.
-  std::int32_t eval_batch = 8;
-  /// EvalServer straggler wait before flushing an undersized batch.
-  std::int64_t flush_us = 200;
 
   // --- persistent-experience warm start (DESIGN.md §18) ---
   /// Seed the root from the experience store (exact or pin-subset/superset
@@ -99,9 +121,9 @@ struct CombMctsStats {
   std::int64_t nodes = 0;
   std::int64_t executed_moves = 0;
   double seconds = 0.0;
-  // Tree-parallel accounting (always 0 for the serial CombMcts).  The
-  // applied/reverted pair must match after every episode — the virtual-loss
-  // invariant ParallelCombMcts also self-checks between root moves.
+  // Virtual-loss accounting.  The applied/reverted pair must match after
+  // every episode — the invariant run() also self-checks between root
+  // moves.
   std::int64_t vloss_applied = 0;
   std::int64_t vloss_reverted = 0;
   /// Descents that reached a leaf another worker was already evaluating
@@ -141,26 +163,34 @@ class CombMcts {
  public:
   /// `experience` (optional, must outlive the search) feeds the
   /// warm-start lookup; it is only consulted when config.warm_start is on.
+  /// Builds the search_workers - 1 selector replicas from `selector` as it
+  /// is now: later weight or precision changes reach worker 0 only.
   CombMcts(rl::SteinerSelector& selector, CombMctsConfig config = {},
            const experience::Store* experience = nullptr);
+  ~CombMcts();
 
   /// Builds one MC search tree on `grid` and returns the training label
   /// plus the executed combination (one sample per layout, Sec. 3.5).
+  /// May be called repeatedly; replicas are reused across calls.
   ///
-  /// Anytime mode: with a `deadline`, the control loop checks the clock at
-  /// iteration granularity and stops as soon as it has passed, setting
+  /// Anytime mode: with a `deadline`, workers check the clock at iteration
+  /// granularity and stop claiming iterations once it has passed, setting
   /// stats.deadline_hit and leaving best_selected/best_cost at the best
   /// fully-evaluated state so far — never an invalid partial.  One UCT
   /// iteration is always run even when the deadline is already expired
   /// (the zero-slack fallback), and a run whose deadline never fires is
-  /// bitwise identical to the unbounded run.
+  /// bitwise identical to the unbounded run at search_workers == 1.
   CombMctsResult run(const HananGrid& grid,
                      const SearchDeadline& deadline = std::nullopt);
+
+  /// Resolved worker count (search_workers == 0 -> hardware concurrency).
+  std::int32_t workers() const { return std::int32_t(replicas_.size()) + 1; }
 
  private:
   rl::SteinerSelector& selector_;
   CombMctsConfig config_;
   const experience::Store* experience_;
+  std::vector<std::unique_ptr<rl::SteinerSelector>> replicas_;  // workers 1..K-1
 };
 
 }  // namespace oar::mcts

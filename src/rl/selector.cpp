@@ -1,7 +1,6 @@
 #include "rl/selector.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -140,14 +139,6 @@ void SteinerSelector::calibrate_int8(
   config_.infer.precision = nn::InferConfig::Precision::kInt8;
 }
 
-void SteinerSelector::infer_fsp_from_features(const float* features,
-                                              std::int32_t H, std::int32_t V,
-                                              std::int32_t M,
-                                              std::vector<double>& out) {
-  assert(int8_ != nullptr);
-  int8_->infer_fsp_from_features(features, H, V, M, out);
-}
-
 void SteinerSelector::infer_fsp_int8(const HananGrid& grid,
                                      const std::vector<Vertex>& extra_pins,
                                      std::vector<double>& out) {
@@ -234,6 +225,17 @@ void SteinerSelector::copy_weights_from(SteinerSelector& other) {
   int8_.reset();
   accum_.reset();
   nn::copy_parameters(net_, other.net_);
+}
+
+std::unique_ptr<SteinerSelector> SteinerSelector::replica() {
+  auto r = std::make_unique<SteinerSelector>(config_);
+  r->copy_weights_from(*this);
+  r->net_.set_training(net_.training());
+  if (int8_) {
+    r->int8_ = std::make_unique<nn::quant::QuantizedUNet3d>(*int8_);
+    r->accum_ = std::make_unique<Int8Accum>();
+  }
+  return r;
 }
 
 }  // namespace oar::rl

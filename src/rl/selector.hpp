@@ -94,18 +94,17 @@ class SteinerSelector {
   /// Flip the precision without touching the pack (the accuracy gate's
   /// fallback calls this with kFp32).
   void set_precision(nn::InferConfig::Precision p);
-  /// int8 forward straight from a channel-major feature volume — the
-  /// EvalServer / BatchedSelector entry point (they encode features
-  /// themselves).  Requires int8_engine() != nullptr.
-  void infer_fsp_from_features(const float* features, std::int32_t H,
-                               std::int32_t V, std::int32_t M,
-                               std::vector<double>& out);
 
   bool save(const std::string& path);
   /// load / copy_weights_from drop the int8 pack (weights changed); the
   /// engine silently serves fp32 until the next calibrate_int8().
   bool load(const std::string& path);
   void copy_weights_from(SteinerSelector& other);
+  /// A selector that answers fsp queries exactly like this one — same
+  /// config, weights, precision, training mode and int8 pack — with its
+  /// own forward state (arena, feature cache, int8 accumulator), so
+  /// another thread can run forwards on it concurrently.
+  std::unique_ptr<SteinerSelector> replica();
 
  private:
   struct Int8Accum;  // grid-keyed first-layer accumulator cache

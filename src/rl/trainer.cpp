@@ -8,7 +8,6 @@
 #include <string>
 
 #include "experience/record.hpp"
-#include "mcts/parallel.hpp"
 #include "nn/loss.hpp"
 #include "route/oarmst.hpp"
 #include "nn/serialize.hpp"
@@ -389,7 +388,7 @@ StageReport CombTrainer::run_stage() {
 
   // One pool serves both phases: sample generation fans out over layouts,
   // the fit phase over per-worker replicas.  With tree-parallel search
-  // (mcts.search_workers != 1) each episode already spawns its own worker
+  // (mcts.search_workers > 1) each episode already spawns its own worker
   // threads, so the layout-level fan-out shrinks to keep the total thread
   // footprint near config_.threads.
   const std::size_t search_workers =
@@ -437,14 +436,7 @@ StageReport CombTrainer::run_stage() {
     mcts::CombMctsConfig cfg = mcts_config;
     cfg.iterations_per_move =
         mcts::scaled_iterations(mcts_config.iterations_per_move, grid);
-    mcts::CombMctsResult result;
-    if (cfg.search_workers != 1) {
-      mcts::ParallelCombMcts search(*clone, cfg);
-      result = search.run(grid);
-    } else {
-      mcts::CombMcts search(*clone, cfg);
-      result = search.run(grid);
-    }
+    mcts::CombMctsResult result = mcts::CombMcts(*clone, cfg).run(grid);
     raw[i] = RawSample{std::move(grid), std::move(result)};
     checkin_clone(std::move(clone));
   });

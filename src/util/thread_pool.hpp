@@ -57,8 +57,7 @@ class ThreadPool {
   /// first nested call hangs forever).  Inline execution trades the lost
   /// nested parallelism for a guarantee of forward progress, so layered
   /// callers — a serve::RouterService routing fan-out whose engine itself
-  /// fans out, an EvalServer client running on a pool task — degrade to
-  /// serial instead of freezing.  Nested calls on a *different* pool are
+  /// fans out — degrade to serial instead of freezing.  Nested calls on a *different* pool are
   /// unaffected.  submit() from a worker never blocks and stays safe.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 

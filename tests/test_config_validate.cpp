@@ -15,8 +15,6 @@
 #include "experience/store.hpp"
 #include "gen/random_netlist.hpp"
 #include "mcts/comb_mcts.hpp"
-#include "mcts/eval_server.hpp"
-#include "mcts/parallel.hpp"
 #include "nn/quant/quantize.hpp"
 #include "nn/unet3d.hpp"
 #include "nn/value_net.hpp"
@@ -198,8 +196,6 @@ TEST(ConfigValidate, CombMcts) {
                     "CombMctsConfig.prior_uniform_mix");
   expect_rejects<C>([](C& c) { c.search_workers = -1; },
                     "CombMctsConfig.search_workers");
-  expect_rejects<C>([](C& c) { c.eval_batch = 0; }, "CombMctsConfig.eval_batch");
-  expect_rejects<C>([](C& c) { c.flush_us = -1; }, "CombMctsConfig.flush_us");
   expect_rejects<C>([](C& c) { c.warm_start_weight = 1.5; },
                     "CombMctsConfig.warm_start_weight");
   expect_rejects<C>([](C& c) { c.warm_start_weight = -0.1; },
@@ -217,16 +213,6 @@ TEST(ConfigValidate, ExperienceStore) {
         c.path.clear();
       },
       "StoreConfig.read_only");
-}
-
-TEST(ConfigValidate, EvalServer) {
-  using C = mcts::EvalServerConfig;
-  EXPECT_NO_THROW(C{}.validate());
-  expect_rejects<C>([](C& c) { c.eval_batch = 0; },
-                    "EvalServerConfig.eval_batch");
-  expect_rejects<C>([](C& c) { c.flush_us = -1; }, "EvalServerConfig.flush_us");
-  expect_rejects<C>([](C& c) { c.queue_capacity = 0; },
-                    "EvalServerConfig.queue_capacity");
 }
 
 TEST(ConfigValidate, Train) {
@@ -331,8 +317,6 @@ TEST(ConfigValidate, RouterOptions) {
   // The nested search config ("rl-mcts" engine knobs) as well.
   expect_rejects<C>([](C& c) { c.mcts.search_workers = -2; },
                     "CombMctsConfig.search_workers");
-  expect_rejects<C>([](C& c) { c.mcts.eval_batch = -1; },
-                    "CombMctsConfig.eval_batch");
   // The anytime deadline knob (DESIGN.md Â§16).
   expect_rejects<C>([](C& c) { c.deadline_ms = -10.0; },
                     "RouterOptions.deadline_ms");
@@ -363,11 +347,7 @@ TEST(ConfigValidate, ConstructorsEnforceValidation) {
 
   mcts::CombMctsConfig par_cfg;
   par_cfg.search_workers = -1;
-  EXPECT_THROW(mcts::ParallelCombMcts(selector, par_cfg), std::invalid_argument);
-
-  mcts::EvalServerConfig eval_cfg;
-  eval_cfg.queue_capacity = 0;
-  EXPECT_THROW(mcts::EvalServer(selector, eval_cfg), std::invalid_argument);
+  EXPECT_THROW(mcts::CombMcts(selector, par_cfg), std::invalid_argument);
 
   core::RouterOptions opt;
   opt.engine = "no-such-engine";

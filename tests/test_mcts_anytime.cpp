@@ -7,8 +7,8 @@
 //      search never returns an empty tree),
 //   2. best_selected routes to a connected OARMST whenever the deadline
 //      fires mid-search,
-//   3. a deadline that never fires leaves the run bitwise identical to the
-//      unbounded one (serial, and serial vs 1-worker parallel),
+//   3. a deadline that never fires leaves a one-worker run bitwise
+//      identical to the unbounded one,
 //   4. the MctsRouter facade surfaces deadline_hit and still hands back a
 //      connected tree.
 
@@ -19,7 +19,7 @@
 
 #include "core/mcts_router.hpp"
 #include "gen/random_layout.hpp"
-#include "mcts/parallel.hpp"
+#include "mcts/comb_mcts.hpp"
 #include "route/oarmst.hpp"
 
 namespace oar::mcts {
@@ -53,7 +53,6 @@ CombMctsConfig quick_config(std::int32_t workers) {
   cfg.iterations_per_move = 24;
   cfg.use_critic = true;
   cfg.search_workers = workers;
-  cfg.flush_us = 50;
   return cfg;
 }
 
@@ -133,16 +132,16 @@ TEST(CombMctsAnytime, BestSelectedAlwaysRoutesConnected) {
 }
 
 TEST(ParallelCombMctsAnytime, SingleWorkerFarDeadlineBitwiseSerial) {
-  // Satellite gate: serial vs 1-worker parallel stay bitwise identical
-  // when the deadline never fires.
+  // A far deadline leaves one worker bitwise on the unbounded run even on
+  // a search object that has already run a deadline-bounded episode.
   rl::SteinerSelector selector(tiny_config());
+  CombMcts reused(selector, quick_config(1));
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const HananGrid grid = test_grid(seed, 5);
-    CombMcts serial(selector, quick_config(1));
-    const CombMctsResult a = serial.run(grid);
-    ParallelCombMcts parallel(selector, quick_config(1));
-    const CombMctsResult b = parallel.run(grid, far_deadline());
+    const CombMctsResult a = CombMcts(selector, quick_config(1)).run(grid);
+    reused.run(grid, expired_deadline());
+    const CombMctsResult b = reused.run(grid, far_deadline());
     EXPECT_FALSE(b.stats.deadline_hit);
     expect_bitwise_equal(a, b);
     EXPECT_EQ(b.stats.vloss_applied, b.stats.vloss_reverted);
@@ -153,7 +152,7 @@ TEST(ParallelCombMctsAnytime, ExpiredDeadlineReturnsValidTree) {
   rl::SteinerSelector selector(tiny_config());
   for (std::int32_t workers : {1, 2, 4}) {
     SCOPED_TRACE("workers " + std::to_string(workers));
-    ParallelCombMcts search(selector, quick_config(workers));
+    CombMcts search(selector, quick_config(workers));
     const HananGrid grid = test_grid(5, 5);
     const CombMctsResult res = search.run(grid, expired_deadline());
     EXPECT_TRUE(res.stats.deadline_hit);
@@ -168,7 +167,7 @@ TEST(ParallelCombMctsAnytime, MidSearchDeadlineStillCompletes) {
   // A deadline a few ms out lands mid-search (or not at all on a fast
   // machine); either way the result must be a valid evaluated state.
   rl::SteinerSelector selector(tiny_config());
-  ParallelCombMcts search(selector, quick_config(2));
+  CombMcts search(selector, quick_config(2));
   const HananGrid grid = test_grid(9, 5);
   const SearchDeadline deadline =
       SearchClock::now() + std::chrono::milliseconds(2);

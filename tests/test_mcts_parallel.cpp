@@ -1,8 +1,11 @@
-// ParallelCombMcts determinism & concurrency battery (DESIGN.md §15).
+// Tree-parallel CombMcts determinism & concurrency battery (DESIGN.md §15).
 //
 // The gates, strongest first:
-//   1. search_workers = 1 is BITWISE identical to the serial CombMcts —
-//      labels, executed combination, costs, and tree statistics.
+//   1. search_workers = 1 is deterministic: labels, executed combination,
+//      costs and tree statistics repeat bitwise across search objects,
+//      across episodes on one object, and after K > 1 searches built
+//      replicas from the same selector (test_mcts_golden.cpp pins the
+//      one-worker digests themselves).
 //   2. On exhaustively searchable layouts (3 pins => a one-point budget and
 //      all-terminal children) every worker count reaches the identical
 //      best-cost fixed point, because every root child is provably
@@ -10,12 +13,14 @@
 //   3. At K > 1 thread interleaving makes labels distribution-equivalent
 //      rather than bitwise: over >= 64 fixed-seed episodes the mean
 //      best/initial cost ratio of 2- and 4-worker searches must sit within
-//      a small noise bound of the serial mean.
+//      a small noise bound of the one-worker mean.
 //   4. The virtual-loss invariant: every stamp is reverted by the end of
 //      the episode (the search also self-checks this after every move and
 //      throws — these runs completing IS the test passing).
+//   5. Replicas carry the caller's int8 pack: every leaf forward of a
+//      K = 2 int8 search runs int8.
 
-#include "mcts/parallel.hpp"
+#include "mcts/comb_mcts.hpp"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +30,7 @@
 #include "core/mcts_router.hpp"
 #include "core/registry.hpp"
 #include "gen/random_layout.hpp"
+#include "obs/metrics.hpp"
 #include "rl/trainer.hpp"
 
 namespace oar::mcts {
@@ -60,7 +66,6 @@ CombMctsConfig quick_config(std::int32_t workers) {
   cfg.iterations_per_move = 24;
   cfg.use_critic = true;
   cfg.search_workers = workers;
-  cfg.flush_us = 50;  // tests favor latency over batch occupancy
   return cfg;
 }
 
@@ -76,40 +81,40 @@ void expect_bitwise_equal(const CombMctsResult& a, const CombMctsResult& b) {
     EXPECT_EQ(a.label[i], b.label[i]) << "label diverges at priority " << i;
   }
   EXPECT_EQ(a.label_mask, b.label_mask);
-  // Tree statistics (everything except wall time and vloss accounting,
-  // which the serial search does not maintain).
+  EXPECT_EQ(a.best_selected, b.best_selected);
+  // Tree statistics (everything except wall time).
   EXPECT_EQ(a.stats.iterations, b.stats.iterations);
   EXPECT_EQ(a.stats.expansions, b.stats.expansions);
   EXPECT_EQ(a.stats.simulations, b.stats.simulations);
   EXPECT_EQ(a.stats.nodes, b.stats.nodes);
   EXPECT_EQ(a.stats.executed_moves, b.stats.executed_moves);
+  EXPECT_EQ(a.stats.vloss_applied, b.stats.vloss_applied);
 }
 
 TEST(ParallelCombMcts, SingleWorkerBitwiseIdenticalToSerial) {
+  // The one-worker search runs on the caller's selector; a K = 4 search on
+  // the same selector in between (replica construction, concurrent
+  // forwards) must not perturb it.
   rl::SteinerSelector selector(tiny_config());
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const HananGrid grid = test_grid(seed, 5);
-    CombMcts serial(selector, quick_config(1));
-    const CombMctsResult a = serial.run(grid);
-    ParallelCombMcts parallel(selector, quick_config(1));
-    const CombMctsResult b = parallel.run(grid);
+    const CombMctsResult a = CombMcts(selector, quick_config(1)).run(grid);
+    CombMcts(selector, quick_config(4)).run(grid);
+    const CombMctsResult b = CombMcts(selector, quick_config(1)).run(grid);
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_bitwise_equal(a, b);
-    // With one worker virtual losses are still stamped and reverted.
     EXPECT_EQ(b.stats.vloss_applied, b.stats.vloss_reverted);
   }
 }
 
 TEST(ParallelCombMcts, SingleWorkerRepeatedEpisodesStayBitwise) {
-  // The EvalServer persists across run() calls; reuse must not perturb the
-  // bitwise anchor.
+  // One search object reused across episodes matches fresh objects.
   rl::SteinerSelector selector(tiny_config());
-  ParallelCombMcts parallel(selector, quick_config(1));
+  CombMcts reused(selector, quick_config(1));
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
     const HananGrid grid = test_grid(seed, 5);
-    CombMcts serial(selector, quick_config(1));
-    const CombMctsResult a = serial.run(grid);
-    const CombMctsResult b = parallel.run(grid);
+    const CombMctsResult a = CombMcts(selector, quick_config(1)).run(grid);
+    const CombMctsResult b = reused.run(grid);
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_bitwise_equal(a, b);
   }
@@ -119,7 +124,7 @@ TEST(ParallelCombMcts, VirtualLossesAllRevertedAfterEveryEpisode) {
   rl::SteinerSelector selector(tiny_config());
   for (std::int32_t workers : {2, 4}) {
     CombMctsConfig cfg = quick_config(workers);
-    ParallelCombMcts search(selector, cfg);
+    CombMcts search(selector, cfg);
     for (std::uint64_t seed = 21; seed <= 23; ++seed) {
       const HananGrid grid = test_grid(seed, 5);
       // run() self-checks the per-edge vloss counters after every root
@@ -138,7 +143,7 @@ TEST(ParallelCombMcts, ExhaustiveLayoutsReachIdenticalBestCost) {
   // 3 pins => budget 1 => every root child is terminal at level 1.  With an
   // iteration budget far beyond the child count, UCT provably evaluates
   // every child (the node count asserts it), so best_cost is the exhaustive
-  // optimum — EXACTLY equal across serial and any worker count.
+  // optimum — EXACTLY equal across every worker count.
   rl::SteinerSelector selector(tiny_config());
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     const HananGrid grid = test_grid(seed, /*pins=*/3, 3, 3, 2, /*obstacles=*/0);
@@ -148,21 +153,18 @@ TEST(ParallelCombMcts, ExhaustiveLayoutsReachIdenticalBestCost) {
     }
     CombMctsConfig cfg;
     cfg.iterations_per_move = 4000;
-    cfg.flush_us = 50;
 
-    CombMcts serial(selector, cfg);
-    const CombMctsResult base = serial.run(grid);
+    const CombMctsResult base = CombMcts(selector, cfg).run(grid);
     ASSERT_EQ(base.stats.nodes, n_children)
-        << "seed " << seed << ": serial search did not exhaust the layout";
+        << "seed " << seed << ": one-worker search did not exhaust the layout";
 
     for (std::int32_t workers : {2, 4}) {
       CombMctsConfig pcfg = cfg;
       pcfg.search_workers = workers;
-      ParallelCombMcts parallel(selector, pcfg);
-      const CombMctsResult r = parallel.run(grid);
+      const CombMctsResult r = CombMcts(selector, pcfg).run(grid);
       SCOPED_TRACE("seed " + std::to_string(seed) + " workers " +
                    std::to_string(workers));
-      ASSERT_EQ(r.stats.nodes, n_children) << "parallel search did not exhaust";
+      ASSERT_EQ(r.stats.nodes, n_children) << "search did not exhaust";
       EXPECT_DOUBLE_EQ(r.best_cost, base.best_cost);
       EXPECT_DOUBLE_EQ(r.initial_cost, base.initial_cost);
     }
@@ -170,15 +172,14 @@ TEST(ParallelCombMcts, ExhaustiveLayoutsReachIdenticalBestCost) {
 }
 
 TEST(ParallelCombMcts, StatisticalEquivalenceOverFixedSeedEpisodes) {
-  // Satellite gate: >= 64 fixed-seed episodes, serial vs 2- and 4-worker
-  // means within a noise bound.  Layout quality is measured as
+  // >= 64 fixed-seed episodes, one worker vs 2 and 4 workers, means
+  // within a noise bound.  Layout quality is measured as
   // best_cost / initial_cost (lower = better), the trainer's own
   // mean_mcts_st_mst metric.
   rl::SteinerSelector selector(tiny_config());
   constexpr std::uint64_t kEpisodes = 64;
   CombMctsConfig cfg;
   cfg.iterations_per_move = 12;
-  cfg.flush_us = 50;
 
   std::vector<HananGrid> grids;
   grids.reserve(kEpisodes);
@@ -191,42 +192,31 @@ TEST(ParallelCombMcts, StatisticalEquivalenceOverFixedSeedEpisodes) {
     std::size_t count = 0;
     CombMctsConfig wcfg = cfg;
     wcfg.search_workers = workers;
-    if (workers == 1) {
-      CombMcts search(selector, wcfg);
-      for (const HananGrid& grid : grids) {
-        const CombMctsResult r = search.run(grid);
-        if (r.initial_cost > 0.0 && std::isfinite(r.initial_cost)) {
-          sum += r.best_cost / r.initial_cost;
-          ++count;
-        }
-      }
-    } else {
-      ParallelCombMcts search(selector, wcfg);
-      for (const HananGrid& grid : grids) {
-        const CombMctsResult r = search.run(grid);
-        if (r.initial_cost > 0.0 && std::isfinite(r.initial_cost)) {
-          sum += r.best_cost / r.initial_cost;
-          ++count;
-        }
+    CombMcts search(selector, wcfg);
+    for (const HananGrid& grid : grids) {
+      const CombMctsResult r = search.run(grid);
+      if (r.initial_cost > 0.0 && std::isfinite(r.initial_cost)) {
+        sum += r.best_cost / r.initial_cost;
+        ++count;
       }
     }
     EXPECT_GT(count, kEpisodes / 2);
     return sum / double(count);
   };
 
-  const double serial_mean = mean_ratio(1);
+  const double one_mean = mean_ratio(1);
   const double two_mean = mean_ratio(2);
   const double four_mean = mean_ratio(4);
   // The ratio lives in (0, 1]; 0.05 absolute is ~4 sigma of the observed
   // per-episode spread at this layout size.
-  EXPECT_NEAR(two_mean, serial_mean, 0.05);
-  EXPECT_NEAR(four_mean, serial_mean, 0.05);
+  EXPECT_NEAR(two_mean, one_mean, 0.05);
+  EXPECT_NEAR(four_mean, one_mean, 0.05);
 }
 
 TEST(ParallelCombMcts, HardwareWorkerCountResolvesAndRuns) {
   rl::SteinerSelector selector(tiny_config());
   CombMctsConfig cfg = quick_config(0);  // 0 = hardware concurrency
-  ParallelCombMcts search(selector, cfg);
+  CombMcts search(selector, cfg);
   EXPECT_GE(search.workers(), 1);
   const HananGrid grid = test_grid(41, 4);
   const CombMctsResult r = search.run(grid);
@@ -235,19 +225,34 @@ TEST(ParallelCombMcts, HardwareWorkerCountResolvesAndRuns) {
             std::int64_t(grid.pins().size()) - 2);
 }
 
-TEST(ParallelCombMcts, EvalServerBatchesLeavesAtHigherWorkerCounts) {
+TEST(ParallelCombMcts, Int8ReplicasRunEveryLeafForward) {
+  // A replica that lost the int8 pack would silently serve fp32, so the
+  // fp32 counter must not move while the int8 counter moves once per leaf
+  // forward the search ran, on either worker.
   rl::SteinerSelector selector(tiny_config());
-  CombMctsConfig cfg = quick_config(4);
-  cfg.flush_us = 2'000;  // give concurrent leaves a window to fuse
-  ParallelCombMcts search(selector, cfg);
-  for (std::uint64_t seed = 51; seed <= 53; ++seed) {
-    search.run(test_grid(seed, 6));
+  std::vector<HananGrid> grids;
+  for (std::uint64_t seed = 51; seed <= 53; ++seed) grids.push_back(test_grid(seed, 6));
+  selector.calibrate_int8({&grids[0], &grids[1], &grids[2]});
+  ASSERT_TRUE(selector.int8_active());
+
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Counter& fp32 = reg.counter("oar_nn_quant_fp32_forwards_total");
+  obs::Counter& int8 = reg.counter("oar_nn_quant_int8_forwards_total");
+  obs::Counter& fsp_calls = reg.counter("oar_mcts_fsp_calls_total");
+  CombMcts search(selector, quick_config(2));
+  ASSERT_EQ(search.workers(), 2);
+  for (const HananGrid& grid : grids) {
+    const std::uint64_t fp32_before = fp32.value();
+    const std::uint64_t int8_before = int8.value();
+    const std::uint64_t calls_before = fsp_calls.value();
+    const CombMctsResult r = search.run(grid);
+    EXPECT_GT(r.stats.expansions, 0);
+    EXPECT_EQ(fp32.value() - fp32_before, 0u);
+    EXPECT_EQ(int8.value() - int8_before, fsp_calls.value() - calls_before);
+    if (obs::kMetricsCompiled) {
+      EXPECT_GE(fsp_calls.value() - calls_before, std::uint64_t(r.stats.expansions));
+    }
   }
-  const EvalServer::Stats stats = search.eval_server().stats();
-  EXPECT_GT(stats.requests, 0u);
-  EXPECT_GT(stats.batches, 0u);
-  // Every expansion went through the server, none were dropped.
-  EXPECT_GE(stats.requests, stats.batches);
 }
 
 TEST(ParallelCombMcts, TrainerUsesParallelSearchWhenConfigured) {
@@ -267,7 +272,6 @@ TEST(ParallelCombMcts, TrainerUsesParallelSearchWhenConfigured) {
   cfg.augment_count = 4;
   cfg.mcts.iterations_per_move = 12;
   cfg.mcts.search_workers = 2;
-  cfg.mcts.flush_us = 50;
   cfg.curriculum_stages = 1;
   cfg.min_pins = 3;
   cfg.max_pins = 4;
@@ -286,7 +290,6 @@ TEST(MctsRouterEngine, RegisteredAndRoutesThroughParallelSearch) {
   CombMctsConfig cfg;
   cfg.iterations_per_move = 12;
   cfg.search_workers = 2;
-  cfg.flush_us = 50;
   core::MctsRouter router(selector, cfg);
   EXPECT_EQ(router.name(), "rl-mcts");
 
@@ -295,6 +298,42 @@ TEST(MctsRouterEngine, RegisteredAndRoutesThroughParallelSearch) {
   EXPECT_TRUE(result.connected);
   EXPECT_TRUE(std::isfinite(result.cost));
   EXPECT_GT(router.last_stats().iterations, 0);
+}
+
+TEST(MctsRouterEngine, RoutesTheCheapestOfExecutedBestAndPlain) {
+  // Redundant-point removal can make the executed combination build a
+  // dearer tree than the best evaluated one; the router must then return
+  // the cheaper tree.  Scan seeded 16x16x4 layouts for such a case (the
+  // one-worker search is deterministic, so a separate search reproduces
+  // the router's) and check the routed cost on every layout scanned.
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  CombMctsConfig cfg;
+  cfg.iterations_per_move = 64;
+  core::MctsRouter router(selector, cfg);
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 60 && !found; ++seed) {
+    util::Rng rng(seed);
+    gen::RandomGridSpec spec;
+    spec.h = 16;
+    spec.v = 16;
+    spec.m = 4;
+    spec.min_pins = 5;
+    spec.max_pins = 8;
+    const HananGrid grid = gen::random_grid(spec, rng);
+    const route::OarmstResult routed = router.route(grid);
+
+    CombMctsConfig scaled = cfg;
+    scaled.iterations_per_move = scaled_iterations(cfg.iterations_per_move, grid);
+    const CombMctsResult searched = CombMcts(*selector, scaled).run(grid);
+    route::OarmstRouter final_router(grid);
+    const route::OarmstResult executed = final_router.build(grid.pins(), searched.selected);
+    const route::OarmstResult best = final_router.build(grid.pins(), searched.best_selected);
+    ASSERT_TRUE(routed.connected);
+    EXPECT_LE(routed.cost, best.cost) << "seed " << seed;
+    EXPECT_LE(routed.cost, executed.cost) << "seed " << seed;
+    found = best.cost < executed.cost;
+  }
+  EXPECT_TRUE(found) << "no scanned layout had best_selected build cheaper than selected";
 }
 
 }  // namespace
