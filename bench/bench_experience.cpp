@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
               rs.episodes, smoke ? " (smoke)" : "");
   {
     serve::RouterServiceConfig cfg;
-    cfg.max_batch = 8;
     cfg.cache_capacity = 2 * rs.episodes;
     cfg.experience_path = store_path;
     util::Timer cold_t;

@@ -1,7 +1,8 @@
 // RouterService walkthrough: several concurrent clients stream routing
-// requests (with deadlines) at one service instance.  Demonstrates
-// micro-batching, symmetry-aware cache hits (a rotated copy of a routed
-// layout is answered from the cache) and the per-stage metrics snapshot.
+// requests (with deadlines) at one service instance.  Demonstrates the
+// worker threads (each serves whole requests on its own selector replica),
+// symmetry-aware cache hits (a rotated copy of a routed layout is answered
+// from the cache) and the per-stage metrics snapshot.
 //
 // Usage: serve_demo [clients] [requests-per-client]
 
@@ -37,8 +38,7 @@ int main(int argc, char** argv) {
   quarter_turn.rotation = 1;
 
   serve::RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 3.0;
+  cfg.worker_threads = 2;
   serve::RouterService service(selector, cfg);
 
   std::vector<std::thread> workers;
@@ -66,11 +66,10 @@ int main(int argc, char** argv) {
   for (auto& w : workers) w.join();
 
   const auto snap = service.metrics().snapshot();
-  std::printf("\n%llu requests, %llu cache hits (%.0f%%), %llu batches "
-              "(mean size %.1f), %llu deadline misses\n",
+  std::printf("\n%llu requests, %llu cache hits (%.0f%%), %llu deadline "
+              "misses\n",
               (unsigned long long)snap.requests,
               (unsigned long long)snap.cache_hits, 100.0 * snap.cache_hit_rate(),
-              (unsigned long long)snap.batches, snap.mean_batch_size,
               (unsigned long long)snap.deadline_misses);
   for (int s = 0; s < serve::kNumStages; ++s) {
     const auto& st = snap.stages[std::size_t(s)];

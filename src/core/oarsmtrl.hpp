@@ -17,7 +17,8 @@
 //   chip::Netlist           — named multi-pin nets + text file format
 //   core::RlRouter          — the trained RL ML-OARSMT router
 //   core::pretrained_*      — bundled tiny checkpoint helpers
-//   serve::RouterService    — micro-batching + result-cache serving layer
+//   serve::RouterService    — EDF-queued, per-thread-replica serving layer
+//                             with a symmetry-aware result cache
 //                             (see examples/serve_demo.cpp)
 //   obs::MetricsRegistry    — process-global counters/gauges/histograms,
 //                             Prometheus + JSON exporters (obs/export.hpp)
@@ -37,6 +38,8 @@
 #include "gen/grid_io.hpp"
 #include "gen/public_benchmarks.hpp"
 #include "gen/svg.hpp"
+#include "experience/canonical.hpp"
+#include "experience/store.hpp"
 #include "gen/random_layout.hpp"
 #include "gen/random_netlist.hpp"
 #include "geom/layout.hpp"
@@ -50,9 +53,7 @@
 #include "rl/seq_trainer.hpp"
 #include "rl/trainer.hpp"
 #include "route/oarmst.hpp"
-#include "serve/canonical.hpp"
 #include "serve/metrics.hpp"
-#include "serve/result_cache.hpp"
 #include "serve/service.hpp"
 #include "steiner/lin08.hpp"
 #include "steiner/oracle.hpp"

@@ -20,7 +20,7 @@ void RouterOptions::validate() const {
   if (use_service && engine != "rl-ours") {
     throw std::invalid_argument(
         "RouterOptions.use_service requires engine 'rl-ours' (got '" + engine +
-        "'); the serving layer batches through the RL selector");
+        "'); the serving layer routes through the RL selector");
   }
   if (!(deadline_ms >= 0.0) || !std::isfinite(deadline_ms)) {
     throw std::invalid_argument(

@@ -7,7 +7,7 @@
 //   * core::RlRouter / the RouterRegistry baselines: construct, then
 //     route(const HananGrid&) synchronously,
 //   * serve::RouterService: submit(shared_ptr<const HananGrid>) through the
-//     micro-batcher + symmetry cache,
+//     EDF admission queue + symmetry cache,
 //   * geometric callers: build a HananGrid from a geom::Layout by hand
 //     before either of the above.
 //
@@ -19,7 +19,7 @@
 //
 // RouterOptions selects the engine by registry name ("lin08", "liu14",
 // "lin18", "oracle", "rl-ours", ...) and, for the RL engine, whether calls
-// go through serve::RouterService (micro-batching + result cache) or the
+// go through serve::RouterService (worker threads + result cache) or the
 // direct single-shot RlRouter path.  Engines are constructed lazily on the
 // first route() and reused across calls, so the facade is as cheap per call
 // as the entry point it wraps.  The old entry points remain supported as
@@ -58,7 +58,7 @@ struct RouterOptions {
   /// Search-engine knobs for "rl-mcts" (iterations, search_workers for
   /// the tree-parallel search, warm start); ignored by every other engine.
   mcts::CombMctsConfig mcts;
-  /// Route through serve::RouterService (micro-batching + symmetry cache)
+  /// Route through serve::RouterService (worker threads + symmetry cache)
   /// instead of the direct single-shot path.  RL engine only.
   bool use_service = false;
   serve::RouterServiceConfig service;

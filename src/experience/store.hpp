@@ -14,8 +14,7 @@
 //          store is not read-only, buffers an append; every flush_batch
 //          puts the buffer is flushed (batched single-writer appends).
 //
-// A Store with an empty path is a pure memory cache — exactly the old
-// serve::ResultCache behavior behind the new typed interface.
+// A Store with an empty path is a pure memory cache.
 //
 // Thread safety: all methods are safe to call concurrently; the memory
 // tier has its own mutex and FileStore locks internally.
@@ -107,8 +106,7 @@ class Store {
   const StoreConfig config_;
   std::unique_ptr<FileStore> disk_;  // null when no disk tier
 
-  // Memory tier: LRU over canonical keys, same discipline as the retired
-  // serve::ResultCache but typed and provenance-aware.
+  // Memory tier: LRU over canonical keys, typed and provenance-aware.
   using MemEntry = std::pair<CanonicalKey, ExperienceRecord>;
   mutable std::mutex mem_mu_;
   std::list<MemEntry> lru_;  // front = most recently used

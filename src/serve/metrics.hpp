@@ -1,9 +1,11 @@
 #pragma once
 
-// Per-stage serving metrics: request counters plus latency distributions
-// for every pipeline stage (queue wait, batch assembly, inference, OARMST
-// routing, end-to-end).  Aggregation rides on util::RunningStats; the
-// percentiles come from util::percentile over the retained samples.  A
+// Per-stage serving metrics: request counters plus a latency distribution
+// for every pipeline stage (queue wait, inference, OARMST routing,
+// end-to-end).  Each stage keeps a fixed-bucket histogram on the
+// obs::latency_buckets() ladder plus util::RunningStats for the exact
+// count/mean/max, so memory stays constant however long the service runs;
+// the percentiles are obs::histogram_quantile reads of the buckets.  A
 // snapshot() is cheap enough to take mid-run and dump_csv() writes the
 // bench-standard machine-readable table.
 
@@ -18,19 +20,20 @@
 namespace oar::serve {
 
 enum class Stage : int {
-  kQueueWait = 0,   // submit -> popped into a batch
-  kBatchAssembly,   // batch leader popped -> features stacked
-  kInference,       // batched U-Net pass (per batch)
-  kRouting,         // per-net OARMST fan-out (per batch)
-  kTotal,           // submit -> reply ready (per request)
+  kQueueWait = 0,  // submit -> popped by a worker
+  kInference,      // encode + single-sample U-Net forward (per request)
+  kRouting,        // top-k selection + OARMST build (per request)
+  kTotal,          // submit -> reply ready (per request)
 };
-constexpr int kNumStages = 5;
+constexpr int kNumStages = 4;
 
 const char* stage_name(Stage stage);
 
 struct StageSummary {
   std::size_t count = 0;
   double mean_ms = 0.0;
+  /// Histogram quantiles: linear interpolation inside the doubling bucket
+  /// holding the rank, so each is exact to within its bucket.
   double p50_ms = 0.0;
   double p90_ms = 0.0;
   double p99_ms = 0.0;
@@ -40,11 +43,9 @@ struct StageSummary {
 struct MetricsSnapshot {
   std::uint64_t requests = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t batches = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t rejected_queue_full = 0;
   std::uint64_t rejected_hopeless = 0;
-  double mean_batch_size = 0.0;
   std::array<StageSummary, kNumStages> stages;
 
   double cache_hit_rate() const {
@@ -54,10 +55,11 @@ struct MetricsSnapshot {
 
 class ServiceMetrics {
  public:
+  ServiceMetrics();
+
   void record_stage(Stage stage, double seconds);
   void add_request();
   void add_cache_hit();
-  void add_batch(std::size_t batch_size);
   void add_deadline_miss();
   void add_rejected_queue_full();
   void add_rejected_hopeless();
@@ -68,14 +70,20 @@ class ServiceMetrics {
   /// counter rows.  Returns false when the file cannot be opened.
   bool dump_csv(const std::string& path) const;
 
+  /// Bytes this object holds, heap included.  Fixed at construction.
+  std::size_t footprint_bytes() const;
+
  private:
+  struct StageHistogram {
+    util::RunningStats stats;
+    std::vector<std::uint64_t> counts;  // bounds_.size() + 1 (+Inf last)
+  };
+
   mutable std::mutex mutex_;
-  std::array<util::RunningStats, kNumStages> stats_;
-  std::array<std::vector<double>, kNumStages> samples_;
-  util::RunningStats batch_sizes_;
+  const std::vector<double> bounds_;  // obs::latency_buckets(), seconds
+  std::array<StageHistogram, kNumStages> stages_;
   std::uint64_t requests_ = 0;
   std::uint64_t cache_hits_ = 0;
-  std::uint64_t batches_ = 0;
   std::uint64_t deadline_misses_ = 0;
   std::uint64_t rejected_queue_full_ = 0;
   std::uint64_t rejected_hopeless_ = 0;

@@ -5,7 +5,7 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "serve/batched_selector.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/validate.hpp"
 
@@ -20,11 +20,7 @@ struct ServeObs {
   obs::Counter& requests;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
-  obs::Counter& batches;
-  obs::Counter& deadline_misses;
-  // SLO family (DESIGN.md §16).  slo_deadline_misses counts together with
-  // the legacy oar_serve_deadline_misses_total (kept for dashboards that
-  // pinned it before the family existed).
+  // SLO family (DESIGN.md §16).
   obs::Counter& slo_deadline_misses;
   obs::Counter& slo_rejected_queue_full;
   obs::Counter& slo_rejected_hopeless;
@@ -32,7 +28,6 @@ struct ServeObs {
   obs::Gauge& cache_entries;
   obs::Gauge& slo_p50_latency;
   obs::Gauge& slo_p99_latency;
-  obs::Histogram& batch_occupancy;
   obs::Histogram& request_latency;
   obs::Histogram& inference_latency;
   obs::Histogram& routing_latency;
@@ -47,29 +42,24 @@ ServeObs& serve_obs() {
                   "Requests answered from the symmetry-aware result cache"),
       reg.counter("oar_serve_cache_misses_total",
                   "Requests that missed the result cache and were queued"),
-      reg.counter("oar_serve_batches_total", "Micro-batches processed"),
-      reg.counter("oar_serve_deadline_misses_total",
-                  "Replies that finished after the request deadline"),
       reg.counter("oar_serve_slo_deadline_misses_total",
                   "Served replies that finished after their effective deadline"),
       reg.counter("oar_serve_slo_rejected_queue_full_total",
                   "Requests rejected at admission: queue at max_queue_depth"),
       reg.counter("oar_serve_slo_rejected_hopeless_total",
                   "Requests rejected at admission: deadline slack below floor"),
-      reg.gauge("oar_serve_queue_depth", "Requests waiting in the batcher queue"),
+      reg.gauge("oar_serve_queue_depth", "Requests waiting in the admission queue"),
       reg.gauge("oar_serve_cache_entries", "Entries resident in the result cache"),
       reg.gauge("oar_serve_slo_p50_latency_seconds",
                 "Median end-to-end latency, refreshed at each scrape"),
       reg.gauge("oar_serve_slo_p99_latency_seconds",
                 "p99 end-to-end latency, refreshed at each scrape"),
-      reg.histogram("oar_serve_batch_occupancy", obs::pow2_buckets(8),
-                    "Requests per processed micro-batch"),
       reg.histogram("oar_serve_request_latency_seconds", obs::latency_buckets(),
                     "Submit-to-reply latency per request"),
       reg.histogram("oar_serve_inference_seconds", obs::latency_buckets(),
-                    "Batched U-Net pass latency per micro-batch"),
+                    "Encode + U-Net forward latency per routed request"),
       reg.histogram("oar_serve_routing_seconds", obs::latency_buckets(),
-                    "OARMST fan-out latency per micro-batch"),
+                    "Top-k selection + OARMST build latency per routed request"),
       reg.histogram("oar_serve_slo_slack_seconds", obs::latency_buckets(),
                     "Deadline slack remaining at reply (misses land in the "
                     "zero bucket)"),
@@ -102,11 +92,6 @@ void SloConfig::validate() const {
 }
 
 void RouterServiceConfig::validate() const {
-  util::check_field(max_batch >= 1, "RouterServiceConfig", "max_batch",
-                    "be >= 1 (1 disables batching)", max_batch);
-  util::check_field(batch_wait_ms >= 0.0 && std::isfinite(batch_wait_ms),
-                    "RouterServiceConfig", "batch_wait_ms",
-                    "be finite and non-negative", batch_wait_ms);
   util::check_field(!experience_read_only || !experience_path.empty(),
                     "RouterServiceConfig", "experience_read_only",
                     "require experience_path to name an existing file",
@@ -130,15 +115,6 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-bool same_shape(const HananGrid& a, const HananGrid& b) {
-  return a.h_dim() == b.h_dim() && a.v_dim() == b.v_dim() &&
-         a.m_dim() == b.m_dim();
-}
-
-}  // namespace
-
-namespace {
-
 experience::StoreConfig store_config_of(const RouterServiceConfig& config) {
   experience::StoreConfig sc;
   sc.memory_capacity = config.cache_capacity;
@@ -161,23 +137,34 @@ RouterService::RouterService(std::shared_ptr<rl::SteinerSelector> selector,
                              std::shared_ptr<experience::Store> store)
     : config_(config),
       selector_(std::move(selector)),
-      store_(std::move(store)),
-      pool_(config.worker_threads) {
-  config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
+      store_(std::move(store)) {
   config_.validate();
   if (store_ == nullptr) {
     store_ = std::make_shared<experience::Store>(store_config_of(config_));
   }
-  batcher_ = std::thread([this] { batcher_loop(); });
+  const std::size_t n = util::ThreadPool::resolve_thread_count(
+      std::int64_t(config_.worker_threads));
+  for (std::size_t i = 1; i < n; ++i) replicas_.push_back(selector_->replica());
+  try {
+    workers_.emplace_back([this] { worker_loop(*selector_); });
+    for (const auto& replica : replicas_) {
+      workers_.emplace_back([this, r = replica.get()] { worker_loop(*r); });
+    }
+  } catch (...) {
+    stop();  // a thread failed to start: join the ones that did
+    throw;
+  }
 }
 
-RouterService::~RouterService() {
+RouterService::~RouterService() { stop(); }
+
+void RouterService::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   cv_.notify_all();
-  batcher_.join();
+  for (std::thread& w : workers_) w.join();
 }
 
 std::future<RouteReply> RouterService::submit(RouteRequest request) {
@@ -200,7 +187,7 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
   // A symmetry-store hit is answered even when the deadline is hopeless —
   // the reply is free, so rejecting it would only discard useful work.
   if (caching_enabled()) {
-    pending.canon = canonicalize(*pending.request.grid);
+    pending.canon = experience::canonicalize(*pending.request.grid);
     experience::HitTier tier = experience::HitTier::kMiss;
     if (std::optional<experience::ExperienceRecord> hit = store_->get(
             experience::CanonicalKey::from_bytes(pending.canon.key), &tier)) {
@@ -216,7 +203,6 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
         if (done > *pending.deadline) {
           reply.deadline_met = false;
           metrics_.add_deadline_miss();
-          serve_obs().deadline_misses.inc();
           serve_obs().slo_deadline_misses.inc();
         }
       }
@@ -270,167 +256,91 @@ RouteReply RouterService::route(std::shared_ptr<const HananGrid> grid) {
   return submit(RouteRequest{std::move(grid), std::nullopt}).get();
 }
 
-void RouterService::batcher_loop() {
+void RouterService::worker_loop(rl::SteinerSelector& selector) {
   for (;;) {
-    Batch batch = take_batch();
-    if (batch.items.empty()) return;
-    process_batch(std::move(batch));
+    Pending pending;
+    Clock::time_point popped;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping and drained
+      const auto it = detail::most_urgent(
+          queue_.begin(), queue_.end(),
+          [](const Pending& p) -> const std::optional<Clock::time_point>& {
+            return p.deadline;
+          });
+      pending = std::move(*it);
+      queue_.erase(it);
+      popped = Clock::now();
+      serve_obs().queue_depth.set(double(queue_.size()));
+    }
+    try {
+      serve_request(selector, pending, popped);
+    } catch (...) {
+      pending.promise.set_exception(std::current_exception());
+    }
   }
 }
 
-RouterService::Batch RouterService::take_batch() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-  if (queue_.empty()) {
-    // Stopping and drained: leave the liveness gauge at its true value
-    // instead of whatever the last scrape saw.
-    serve_obs().queue_depth.set(0.0);
-    return {};
-  }
+void RouterService::serve_request(rl::SteinerSelector& selector,
+                                  Pending& p, Clock::time_point popped) {
+  const double queue_seconds = std::max(0.0, seconds_between(p.enqueued, popped));
+  metrics_.record_stage(Stage::kQueueWait, queue_seconds);
+  const HananGrid& grid = *p.request.grid;
 
-  // Leader = the most urgent request (earliest effective deadline, FIFO
-  // among the deadline-less); its shape defines the micro-batch.
-  Batch batch;
-  const auto leader = detail::most_urgent(
-      queue_.begin(), queue_.end(),
-      [](const Pending& p) -> const std::optional<Clock::time_point>& {
-        return p.deadline;
-      });
-  batch.items.push_back(std::move(*leader));
-  queue_.erase(leader);
-  batch.popped = Clock::now();
-  const HananGrid& shape = *batch.items.front().request.grid;
-
-  const auto harvest = [&] {
-    for (auto it = queue_.begin();
-         it != queue_.end() && batch.items.size() < config_.max_batch;) {
-      if (same_shape(*it->request.grid, shape)) {
-        batch.items.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  harvest();
-  // Straggler wait, capped at the leader's deadline so a zero-slack
-  // request never waits for company.  batch_wait_ms == 0 (or a leader
-  // already at/past its deadline) short-circuits: no timed wait at all.
-  if (config_.batch_wait_ms > 0.0 && batch.items.size() < config_.max_batch &&
-      !stopping_) {
-    Clock::time_point wait_until =
-        batch.popped + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               config_.batch_wait_ms));
-    const std::optional<Clock::time_point>& leader_deadline =
-        batch.items.front().deadline;
-    if (leader_deadline && *leader_deadline < wait_until) {
-      wait_until = *leader_deadline;
-    }
-    if (wait_until > Clock::now()) {
-      timed_waits_.fetch_add(1, std::memory_order_relaxed);
-      while (batch.items.size() < config_.max_batch && !stopping_) {
-        if (cv_.wait_until(lock, wait_until) == std::cv_status::timeout) {
-          harvest();
-          break;
-        }
-        harvest();
-      }
-    }
-  }
-  serve_obs().queue_depth.set(double(queue_.size()));
-  return batch;
-}
-
-void RouterService::process_batch(Batch batch_in) {
-  std::vector<Pending>& batch = batch_in.items;
-  const Clock::time_point popped = batch_in.popped;
-  for (const Pending& p : batch) {
-    // Stragglers harvested during the wait can be enqueued after the
-    // leader popped; their queue wait is effectively zero.
-    metrics_.record_stage(Stage::kQueueWait,
-                          std::max(0.0, seconds_between(p.enqueued, popped)));
-  }
-  metrics_.add_batch(batch.size());
-  serve_obs().batches.inc();
-  serve_obs().batch_occupancy.observe(double(batch.size()));
-
-  std::vector<const HananGrid*> grids;
-  grids.reserve(batch.size());
-  for (const Pending& p : batch) grids.push_back(p.request.grid.get());
-
-  // Assembly = leader popped -> inference dispatch: the straggler wait
-  // plus the harvesting/feature gathering above.
-  const double assembly_seconds = seconds_between(popped, Clock::now());
-  metrics_.record_stage(Stage::kBatchAssembly, assembly_seconds);
-
-  // Stage 1: one batched U-Net pass for the whole micro-batch.
   util::Timer infer_timer;
-  const std::vector<std::vector<double>> fsp =
-      batched_fsp(*selector_, grids, &pool_);
+  const std::vector<double> fsp = selector.infer_fsp(grid);
   const double infer_seconds = infer_timer.seconds();
   metrics_.record_stage(Stage::kInference, infer_seconds);
   serve_obs().inference_latency.observe(infer_seconds);
 
-  // Stage 2: per-net top-k + OARMST construction across the pool.
   util::Timer route_timer;
-  std::vector<route::OarmstResult> results(batch.size());
-  pool_.parallel_for(batch.size(), [&](std::size_t i) {
-    const HananGrid& grid = *batch[i].request.grid;
-    const std::int32_t budget =
-        std::max<std::int32_t>(0, std::int32_t(grid.pins().size()) - 2);
-    const std::vector<Vertex> steiner =
-        rl::SteinerSelector::top_k_valid(grid, fsp[i], budget, {});
-    // Per-pool-thread scratch: the maze arrays persist across batches, so
-    // steady-state serving does no O(V) routing allocations.
-    route::OarmstRouter router(grid);
-    results[i] = router.build(grid.pins(), steiner, &route::local_router_scratch());
-  });
+  const std::int32_t budget =
+      std::max<std::int32_t>(0, std::int32_t(grid.pins().size()) - 2);
+  const std::vector<Vertex> steiner =
+      rl::SteinerSelector::top_k_valid(grid, fsp, budget, {});
+  // Per-thread scratch: the maze arrays persist across requests, so
+  // steady-state serving does no O(V) routing allocations.
+  route::OarmstRouter router(grid);
+  route::OarmstResult res =
+      router.build(grid.pins(), steiner, &route::local_router_scratch());
   const double route_seconds = route_timer.seconds();
   metrics_.record_stage(Stage::kRouting, route_seconds);
   serve_obs().routing_latency.observe(route_seconds);
 
-  const Clock::time_point done = Clock::now();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Pending& p = batch[i];
-    route::OarmstResult& res = results[i];
-
-    if (caching_enabled() && res.connected) {
-      // Stored in canonical vertex space so symmetry variants hit too.
-      // The record also carries the fsp inference and kept Steiner set in
-      // pin-stripped base space — the warm-start payload MCTS mines for
-      // near-miss priors (experience/record.hpp).
-      const HananGrid& grid = *p.request.grid;
-      std::vector<float> fsp_f(fsp[i].begin(), fsp[i].end());
-      store_->put(experience::build_record(grid, p.canon, res, fsp_f,
-                                           res.kept_steiner));
-      serve_obs().cache_entries.set(double(store_->memory_entries()));
-    }
-
-    RouteReply reply;
-    reply.grid = p.request.grid;
-    reply.result = std::move(res);
-    reply.result.tree.rebind_grid(reply.grid.get());
-    reply.cache_hit = false;
-    reply.queue_seconds = std::max(0.0, seconds_between(p.enqueued, popped));
-    reply.inference_seconds = infer_seconds;
-    reply.routing_seconds = route_seconds;
-    reply.total_seconds = seconds_between(p.enqueued, done);
-    if (p.deadline) {
-      serve_obs().slo_slack.observe(
-          std::max(0.0, seconds_between(done, *p.deadline)));
-      if (done > *p.deadline) {
-        reply.deadline_met = false;
-        metrics_.add_deadline_miss();
-        serve_obs().deadline_misses.inc();
-        serve_obs().slo_deadline_misses.inc();
-      }
-    }
-    metrics_.record_stage(Stage::kTotal, reply.total_seconds);
-    serve_obs().request_latency.observe(reply.total_seconds);
-    p.promise.set_value(std::move(reply));
+  if (caching_enabled() && res.connected) {
+    // Stored in canonical vertex space so symmetry variants hit too, and
+    // before the promise resolves, so a repeat submitted after this reply
+    // is a hit.  The record also carries the fsp inference and kept
+    // Steiner set in pin-stripped base space — the warm-start payload
+    // MCTS mines for near-miss priors (experience/record.hpp).
+    store_->put(experience::build_record(
+        grid, p.canon, res, std::vector<float>(fsp.begin(), fsp.end()),
+        res.kept_steiner));
+    serve_obs().cache_entries.set(double(store_->memory_entries()));
   }
+
+  const Clock::time_point done = Clock::now();
+  RouteReply reply;
+  reply.grid = p.request.grid;
+  reply.result = std::move(res);
+  reply.result.tree.rebind_grid(reply.grid.get());
+  reply.queue_seconds = queue_seconds;
+  reply.inference_seconds = infer_seconds;
+  reply.routing_seconds = route_seconds;
+  reply.total_seconds = seconds_between(p.enqueued, done);
+  if (p.deadline) {
+    serve_obs().slo_slack.observe(
+        std::max(0.0, seconds_between(done, *p.deadline)));
+    if (done > *p.deadline) {
+      reply.deadline_met = false;
+      metrics_.add_deadline_miss();
+      serve_obs().slo_deadline_misses.inc();
+    }
+  }
+  metrics_.record_stage(Stage::kTotal, reply.total_seconds);
+  serve_obs().request_latency.observe(reply.total_seconds);
+  p.promise.set_value(std::move(reply));
 }
 
 void RouterService::refresh_gauges() {
@@ -440,8 +350,8 @@ void RouterService::refresh_gauges() {
     o.queue_depth.set(double(queue_.size()));
   }
   o.cache_entries.set(double(store_->memory_entries()));
-  // Percentile gauges are point-in-time views over the retained samples —
-  // recomputed at every scrape, like the liveness gauges above.
+  // Percentile gauges are point-in-time reads of the bounded stage
+  // histograms — recomputed at every scrape, like the liveness gauges.
   const MetricsSnapshot snap = metrics_.snapshot();
   const StageSummary& total = snap.stages[std::size_t(Stage::kTotal)];
   o.slo_p50_latency.set(total.p50_ms * 1e-3);
@@ -465,10 +375,10 @@ bool RouterService::caching_enabled() const {
 }
 
 RouteReply RouterService::replay_cached(
-    const RouteRequest& request, const CanonicalForm& canon,
+    const RouteRequest& request, const experience::CanonicalForm& canon,
     const experience::ExperienceRecord& cached) const {
   const HananGrid& grid = *request.grid;
-  const std::vector<Vertex> inv = inverse_vertex_map(grid, canon.spec);
+  const std::vector<Vertex> inv = experience::inverse_vertex_map(grid, canon.spec);
 
   RouteReply reply;
   reply.grid = request.grid;

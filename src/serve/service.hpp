@@ -3,16 +3,20 @@
 // RouterService: the production-facing serving layer over the RL router.
 //
 // Clients submit routing requests (a Hanan-grid layout with pins, plus an
-// optional deadline) onto a thread-safe queue and receive a future.  A
-// dedicated batcher thread groups same-shape requests into micro-batches of
-// up to `max_batch`, waiting at most `batch_wait_ms` for stragglers, then:
+// optional deadline) onto a thread-safe admission queue and receive a
+// future.  `worker_threads` service threads drain the queue directly: each
+// takes the most urgent request and runs all of it on its own selector —
+// encode, one single-sample U-Net forward (int8 or fp32), top-(n-2)
+// selection, the OARMST build, the experience-store put, then the promise.
+// There is no batching: on this CPU-only engine a stacked forward is slower
+// per sample than the single-sample one, so a request never waits for
+// company.
 //
-//   1. encodes every layout and runs ONE batched U-Net pass
-//      (serve/batched_selector.hpp) for the whole micro-batch,
-//   2. fans the per-net top-k selection + OARMST construction out across a
-//      util::ThreadPool,
-//   3. fulfils each request's promise, recording per-stage latencies in
-//      ServiceMetrics.
+// Worker 0 runs on the caller's selector; workers 1..N-1 run on
+// SteinerSelector::replica() copies built once at construction (same
+// weights, precision and int8 pack, private forward state).  The service
+// therefore snapshots the selector when it is constructed: load weights or
+// calibrate int8 before constructing it, not after.
 //
 // Results are memoized in a tiered experience::Store keyed by the
 // canonical layout hash (experience/canonical.hpp), so a request equal to
@@ -22,23 +26,19 @@
 // set, from the persistent disk tier, which means exact hits survive
 // process restarts and deploys.  Stored trees live in canonical vertex
 // space and are mapped back through the request's symmetry on a hit; the
-// answering tier is reported in RouteReply::hit_tier.
-//
-// With max_batch == 1 the service degrades to the legacy single-sample
-// router path — that configuration is the baseline the serve bench compares
-// micro-batching against.
+// answering tier is reported in RouteReply::hit_tier.  A miss is stored
+// before its future resolves, so a repeat submitted after the original's
+// reply is always a hit.
 //
 // SLO-aware serving (DESIGN.md §16): every request carries an *effective
 // deadline* — its own, or submit-time + SloConfig::default_deadline_ms.
-// The batcher pops the most-urgent shape group first (earliest effective
-// deadline; FIFO among deadline-less requests) instead of strict FIFO, and
-// caps the straggler wait at the leader's deadline so a zero-slack request
-// never waits for company.  Admission control turns the queue from
-// unbounded to bounded: a full queue or a hopeless deadline resolves the
-// future *immediately* with a typed Overloaded reply (ReplyStatus) instead
-// of blocking forever or serving a result nobody will use.
+// Workers pop the earliest effective deadline first (EDF; FIFO among
+// deadline-less requests) instead of strict FIFO.  Admission control turns
+// the queue from unbounded to bounded: a full queue or a hopeless deadline
+// resolves the future *immediately* with a typed Overloaded reply
+// (ReplyStatus) instead of blocking forever or serving a result nobody
+// will use.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -50,15 +50,16 @@
 #include <thread>
 #include <vector>
 
+#include "experience/canonical.hpp"
 #include "experience/store.hpp"
-#include "route/oarmst.hpp"
-#include "serve/canonical.hpp"
-#include "serve/metrics.hpp"
 #include "rl/selector.hpp"
-#include "util/thread_pool.hpp"
+#include "route/oarmst.hpp"
+#include "serve/metrics.hpp"
 
 namespace oar::serve {
 
+using hanan::HananGrid;
+using hanan::Vertex;
 using Clock = std::chrono::steady_clock;
 
 struct RouteRequest {
@@ -131,12 +132,6 @@ struct SloConfig {
 };
 
 struct RouterServiceConfig {
-  /// Maximum micro-batch size; 1 disables batching (legacy path).
-  std::size_t max_batch = 8;
-  /// How long the batcher waits for same-shape stragglers.  0 means zero
-  /// waiting: the batcher harvests what is queued and dispatches without
-  /// ever entering a timed wait.
-  double batch_wait_ms = 2.0;
   /// Memory-tier LRU entries; 0 disables the memory tier.
   std::size_t cache_capacity = 256;
   /// Persistent experience file backing the cache (experience::Store disk
@@ -148,7 +143,9 @@ struct RouterServiceConfig {
   /// Appends buffered before the disk tier flushes (single-writer append
   /// batching); 0 defers to shutdown.
   std::size_t experience_flush_batch = 16;
-  /// Worker threads for encode/routing fan-out; 0 = hardware concurrency.
+  /// Service threads, each serving whole requests on its own selector
+  /// replica; 0 = hardware concurrency.  The service starts exactly this
+  /// many threads.
   std::size_t worker_threads = 0;
   /// Latency-SLO policy (deadlines, admission control).
   SloConfig slo;
@@ -159,7 +156,7 @@ struct RouterServiceConfig {
 
 namespace detail {
 
-/// The urgency rule shared by the batcher and its tests: earliest
+/// The urgency rule shared by the workers and their tests: earliest
 /// effective deadline first; requests without a deadline are least urgent;
 /// ties (including the all-deadline-less case) resolve FIFO, i.e. to the
 /// lowest index.  `deadline_of(*it)` must yield a
@@ -177,7 +174,7 @@ It most_urgent(It first, It last, DeadlineOf&& deadline_of) {
 
 }  // namespace detail
 
-/// Index of the most urgent entry under the batcher's scheduling rule
+/// Index of the most urgent entry under the workers' scheduling rule
 /// (exposed so scheduling is deterministically testable).
 std::size_t most_urgent_index(
     const std::vector<std::optional<Clock::time_point>>& deadlines);
@@ -192,7 +189,8 @@ class RouterService {
   RouterService(std::shared_ptr<rl::SteinerSelector> selector,
                 RouterServiceConfig config,
                 std::shared_ptr<experience::Store> store);
-  /// Drains the queue (every submitted future still completes), then stops.
+  /// Drains the queue (every submitted future still completes), then joins
+  /// the workers.
   ~RouterService();
 
   RouterService(const RouterService&) = delete;
@@ -214,16 +212,9 @@ class RouterService {
     return store_;
   }
 
-  /// Times the batcher entered a timed straggler wait (cv wait_until).
-  /// With batch_wait_ms == 0 this stays at zero — the regression hook for
-  /// the zero-wait short-circuit.
-  std::uint64_t timed_waits() const {
-    return timed_waits_.load(std::memory_order_relaxed);
-  }
-
   /// Point-in-time export of the process-global obs::MetricsRegistry in
   /// Prometheus exposition format / JSON.  Contains this service's
-  /// families (request latency, batch occupancy, symmetry-cache hits) and
+  /// families (request latency, stage latencies, symmetry-cache hits) and
   /// every lower layer's (MazeRouter epochs, inference arena, ...);
   /// liveness gauges (queue depth, cache entries) are refreshed first.
   std::string scrape_prometheus();
@@ -233,27 +224,26 @@ class RouterService {
   struct Pending {
     RouteRequest request;
     std::promise<RouteReply> promise;
-    CanonicalForm canon;
+    experience::CanonicalForm canon;
     Clock::time_point enqueued;
     /// Effective deadline: the request's own, else submit-time +
     /// SloConfig::default_deadline_ms (nullopt when neither applies).
     std::optional<Clock::time_point> deadline;
   };
 
-  struct Batch {
-    std::vector<Pending> items;
-    /// When the leader left the queue — the start of batch assembly.
-    Clock::time_point popped;
-  };
-
-  void batcher_loop();
-  /// Blocks for work; an empty batch means "stopping and drained".
-  Batch take_batch();
-  void process_batch(Batch batch);
+  /// Drains the queue and joins every started worker.
+  void stop();
+  /// One service thread: pops the most urgent request and serves it on
+  /// `selector` until stopping and drained.
+  void worker_loop(rl::SteinerSelector& selector);
+  /// Encode, forward, select, build, store, reply — all on this thread.
+  void serve_request(rl::SteinerSelector& selector, Pending& pending,
+                     Clock::time_point popped);
   /// Refreshes the liveness + percentile gauges ahead of a scrape.
   void refresh_gauges();
   /// Builds a reply from a stored record (maps canonical -> request space).
-  RouteReply replay_cached(const RouteRequest& request, const CanonicalForm& canon,
+  RouteReply replay_cached(const RouteRequest& request,
+                           const experience::CanonicalForm& canon,
                            const experience::ExperienceRecord& cached) const;
   /// True when some tier can answer (memory capacity > 0 or a disk tier).
   bool caching_enabled() const;
@@ -262,14 +252,14 @@ class RouterService {
   std::shared_ptr<rl::SteinerSelector> selector_;
   std::shared_ptr<experience::Store> store_;
   ServiceMetrics metrics_;
-  util::ThreadPool pool_;
+  /// Selectors of workers 1..N-1 (worker 0 runs on selector_).
+  std::vector<std::unique_ptr<rl::SteinerSelector>> replicas_;
 
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   bool stopping_ = false;
-  std::atomic<std::uint64_t> timed_waits_{0};
-  std::thread batcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace oar::serve

@@ -153,12 +153,6 @@ TEST(ConfigValidate, Oarmst) {
 
 TEST(ConfigValidate, RouterService) {
   using C = serve::RouterServiceConfig;
-  expect_rejects<C>([](C& c) { c.max_batch = 0; },
-                    "RouterServiceConfig.max_batch");
-  expect_rejects<C>([](C& c) { c.batch_wait_ms = -1.0; },
-                    "RouterServiceConfig.batch_wait_ms");
-  expect_rejects<C>([](C& c) { c.batch_wait_ms = kNan; },
-                    "RouterServiceConfig.batch_wait_ms");
   expect_rejects<C>([](C& c) { c.experience_read_only = true; },
                     "RouterServiceConfig.experience_read_only");
   // The nested SLO policy is validated through the service config.
@@ -310,8 +304,8 @@ TEST(ConfigValidate, RouterOptions) {
   expect_rejects<C>([](C& c) { c.experience_read_only = true; },
                     "RouterOptions.experience_read_only");
   // The nested service config is validated through the facade too.
-  expect_rejects<C>([](C& c) { c.service.max_batch = 0; },
-                    "RouterServiceConfig.max_batch");
+  expect_rejects<C>([](C& c) { c.service.experience_read_only = true; },
+                    "RouterServiceConfig.experience_read_only");
   expect_rejects<C>([](C& c) { c.chip.edge_capacity = 0; },
                     "ChipConfig.edge_capacity");
   // The nested search config ("rl-mcts" engine knobs) as well.

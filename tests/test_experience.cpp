@@ -468,8 +468,6 @@ TEST(ExperienceServe, ExactHitsSurviveServiceRestart) {
   auto grid = std::make_shared<const HananGrid>(small_grid());
 
   serve::RouterServiceConfig cfg;
-  cfg.max_batch = 1;
-  cfg.batch_wait_ms = 0.0;
   cfg.worker_threads = 1;
   cfg.experience_path = path;
   cfg.experience_flush_batch = 1;

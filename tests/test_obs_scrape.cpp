@@ -1,5 +1,5 @@
 // Integration: a live RouterService scrape must expose the serving-layer
-// families (request latency histogram, batch occupancy, symmetry-cache
+// families (request latency and inference histograms, symmetry-cache
 // hits/misses) AND the lower layers' (MazeRouter epochs) in one Prometheus
 // payload — the acceptance contract of the observability subsystem.
 
@@ -58,7 +58,6 @@ TEST(ObsScrape, RouterServiceExposesAllLayers) {
 
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
   RouterServiceConfig cfg;
-  cfg.max_batch = 4;
   cfg.worker_threads = 2;
   RouterService service(selector, cfg);
 
@@ -79,10 +78,10 @@ TEST(ObsScrape, RouterServiceExposesAllLayers) {
   EXPECT_GE(sample_value(scrape, "oar_serve_request_latency_seconds_count"),
             3.0);
 
-  // Batch occupancy histogram.
-  EXPECT_NE(scrape.find("# TYPE oar_serve_batch_occupancy histogram"),
+  // Per-request stage histogram: one forward per miss.
+  EXPECT_NE(scrape.find("# TYPE oar_serve_inference_seconds histogram"),
             std::string::npos);
-  EXPECT_GE(sample_value(scrape, "oar_serve_batch_occupancy_count"), 2.0);
+  EXPECT_GE(sample_value(scrape, "oar_serve_inference_seconds_count"), 2.0);
 
   // Symmetry-cache hit ratio: both counters present, at least one hit and
   // one miss from the replayed request above.

@@ -19,7 +19,6 @@
 #include "nn/quant/simd.hpp"
 #include "rl/evaluate.hpp"
 #include "rl/selector.hpp"
-#include "serve/batched_selector.hpp"
 #include "util/rng.hpp"
 
 namespace oar {
@@ -447,21 +446,6 @@ TEST(QuantEngine, WeightReloadInvalidatesPack) {
   // fsp queries silently serve fp32 again.
   const std::vector<double> fsp = selector.infer_fsp(grid);
   EXPECT_EQ(fsp.size(), std::size_t(grid.num_vertices()));
-}
-
-TEST(QuantEngine, BatchedSelectorServesInt8) {
-  rl::SteinerSelector selector(tiny_config());
-  const hanan::HananGrid g1 = small_grid(41, 6, 6, 2);
-  const hanan::HananGrid g2 = small_grid(42, 6, 6, 2);
-  selector.calibrate_int8({&g1, &g2});
-  ASSERT_TRUE(selector.int8_active());
-
-  const auto batched = serve::batched_fsp(selector, {&g1, &g2});
-  ASSERT_EQ(batched.size(), 2u);
-  const std::vector<double> solo1 = selector.infer_fsp(g1);
-  const std::vector<double> solo2 = selector.infer_fsp(g2);
-  EXPECT_EQ(batched[0], solo1);
-  EXPECT_EQ(batched[1], solo2);
 }
 
 TEST(Int8Gate, ThrowsWithoutEngine) {

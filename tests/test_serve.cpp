@@ -4,19 +4,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
+#include <filesystem>
+#include <future>
 #include <set>
 #include <thread>
 
 #include "gen/random_layout.hpp"
+#include "experience/record.hpp"
 #include "obs/metrics.hpp"
-#include "serve/batched_selector.hpp"
-#include "serve/canonical.hpp"
 #include "serve/metrics.hpp"
-#include "serve/result_cache.hpp"
 
 namespace oar::serve {
 namespace {
+
+using experience::CanonicalForm;
+using experience::canonicalize;
+using experience::inverse_vertex_map;
+using experience::serialize_grid;
 
 rl::SelectorConfig tiny_config() {
   rl::SelectorConfig cfg;
@@ -105,73 +111,9 @@ TEST(Canonical, InverseVertexMapRoundTrips) {
   }
 }
 
-// ResultCache is a deprecated shim over experience::Store; these tests
-// exercise the shim itself, so the warning is expected noise here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ResultCache, LruEvictsOldestAndGetRefreshes) {
-  ResultCache cache(2);
-  CachedRoute value;
-  value.cost = 1.0;
-  cache.put("a", value);
-  cache.put("b", value);
-  ASSERT_TRUE(cache.get("a").has_value());  // refreshes "a"
-  cache.put("c", value);                    // evicts "b"
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_FALSE(cache.get("b").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ResultCache, ZeroCapacityStoresNothing) {
-  ResultCache cache(0);
-  cache.put("a", CachedRoute{});
-  EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ResultCache, ClearResetsEntriesGauge) {
-  // Regression: clear() used to leave oar_serve_cache_entries at its old
-  // value until the next scrape refreshed it.  Mutations now maintain it.
-  if (!obs::enabled()) GTEST_SKIP() << "metrics disabled";
-  obs::Gauge& gauge = obs::MetricsRegistry::instance().gauge(
-      "oar_serve_cache_entries", "Entries resident in the result cache");
-  ResultCache cache(4);
-  CachedRoute value;
-  cache.put("a", value);
-  cache.put("b", value);
-  EXPECT_EQ(gauge.value(), 2.0);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(gauge.value(), 0.0);
-}
-
-#pragma GCC diagnostic pop
-
-TEST(BatchedSelector, MatchesSingleSampleInference) {
-  rl::SteinerSelector selector(tiny_config());
-  std::vector<HananGrid> grids = {small_grid(1), small_grid(2), small_grid(3)};
-  std::vector<const HananGrid*> ptrs;
-  for (const HananGrid& g : grids) ptrs.push_back(&g);
-
-  const auto batched = batched_fsp(selector, ptrs);
-  ASSERT_EQ(batched.size(), grids.size());
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    const auto single = selector.infer_fsp(grids[i]);
-    ASSERT_EQ(batched[i].size(), single.size());
-    for (std::size_t j = 0; j < single.size(); ++j) {
-      // The batched kernels may contract FMAs in a different order.
-      EXPECT_NEAR(batched[i][j], single[j], 1e-4);
-    }
-  }
-}
-
 TEST(RouterService, CacheHitReturnsIdenticalTree) {
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
-  RouterServiceConfig cfg;
-  cfg.max_batch = 4;
-  RouterService service(selector, cfg);
+  RouterService service(selector, {});
 
   const auto grid = std::make_shared<const HananGrid>(small_grid());
   const RouteReply cold = service.route(grid);
@@ -224,8 +166,7 @@ TEST(RouterService, ExpiredDeadlineIsFlagged) {
 TEST(RouterService, ConcurrentClientsAllComplete) {
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
   RouterServiceConfig cfg;
-  cfg.max_batch = 4;
-  cfg.batch_wait_ms = 1.0;
+  cfg.worker_threads = 2;
   RouterService service(selector, cfg);
 
   std::vector<std::shared_ptr<const HananGrid>> layouts;
@@ -265,7 +206,6 @@ TEST(ServiceMetrics, SnapshotAndCsvDump) {
   metrics.add_request();
   metrics.add_request();
   metrics.add_cache_hit();
-  metrics.add_batch(4);
 
   const MetricsSnapshot snap = metrics.snapshot();
   const StageSummary& inf = snap.stages[std::size_t(Stage::kInference)];
@@ -274,7 +214,6 @@ TEST(ServiceMetrics, SnapshotAndCsvDump) {
   EXPECT_NEAR(inf.max_ms, 10.0, 1e-9);
   EXPECT_GT(inf.p90_ms, inf.p50_ms);
   EXPECT_DOUBLE_EQ(snap.cache_hit_rate(), 0.5);
-  EXPECT_DOUBLE_EQ(snap.mean_batch_size, 4.0);
 
   const std::string path = testing::TempDir() + "serve_metrics_test.csv";
   EXPECT_TRUE(metrics.dump_csv(path));
@@ -282,6 +221,222 @@ TEST(ServiceMetrics, SnapshotAndCsvDump) {
   ASSERT_NE(f, nullptr);
   std::fclose(f);
   std::remove(path.c_str());
+}
+
+TEST(ServiceMetrics, MemoryStaysBoundedAndQuantilesLandInTheirBucket) {
+  ServiceMetrics metrics;
+  const std::size_t before = metrics.footprint_bytes();
+  // 1M routing samples: 60% at 1.5 ms, 35% at 12 ms, 5% at 0.2 s, so p50,
+  // p90 and p99 fall one in each.  The latency ladder doubles from 1 us,
+  // so the buckets holding them are (1.024, 2.048] ms, (8.192, 16.384] ms
+  // and (131.072, 262.144] ms.
+  constexpr int kSamples = 1'000'000;
+  for (int i = 0; i < kSamples; ++i) {
+    const int r = i % 20;
+    const double seconds = r < 12 ? 1.5e-3 : r < 19 ? 12e-3 : 0.2;
+    metrics.record_stage(Stage::kRouting, seconds);
+  }
+  EXPECT_EQ(metrics.footprint_bytes(), before);
+
+  const StageSummary routing =
+      metrics.snapshot().stages[std::size_t(Stage::kRouting)];
+  EXPECT_EQ(routing.count, std::size_t(kSamples));
+  EXPECT_NEAR(routing.max_ms, 200.0, 1e-9);
+  EXPECT_GT(routing.p50_ms, 1.024);
+  EXPECT_LE(routing.p50_ms, 2.048);
+  EXPECT_GT(routing.p90_ms, 8.192);
+  EXPECT_LE(routing.p90_ms, 16.384);
+  EXPECT_GT(routing.p99_ms, 131.072);
+  EXPECT_LE(routing.p99_ms, 262.144);
+  // The other stages saw nothing.
+  EXPECT_EQ(metrics.snapshot().stages[std::size_t(Stage::kTotal)].count, 0u);
+}
+
+// ---- RouterService worker threads: one request end to end per thread ----
+
+/// `count` layouts of two shapes and 3-6 pins.
+std::vector<std::shared_ptr<const HananGrid>> mixed_layouts(std::uint64_t count = 12) {
+  std::vector<std::shared_ptr<const HananGrid>> out;
+  for (std::uint64_t seed = 1; seed <= count; ++seed) {
+    util::Rng rng(seed);
+    gen::RandomGridSpec spec;
+    spec.h = spec.v = seed % 3 == 0 ? 8 : 6;
+    spec.m = seed % 3 == 0 ? 3 : 2;
+    spec.min_pins = 3;
+    spec.max_pins = 6;
+    spec.min_obstacles = 2;
+    spec.max_obstacles = 4;
+    out.push_back(std::make_shared<const HananGrid>(gen::random_grid(spec, rng)));
+  }
+  return out;
+}
+
+void expect_replies_match_direct_path(bool int8) {
+  const auto layouts = mixed_layouts(24);
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  if (int8) {
+    std::vector<const HananGrid*> cal;
+    for (const auto& g : layouts) cal.push_back(g.get());
+    selector->calibrate_int8(cal);
+    ASSERT_TRUE(selector->int8_active());
+  }
+  // The direct path: infer_fsp -> top_k_valid -> build, plus the record
+  // the service should store for it (which carries the fsp itself).
+  std::vector<route::OarmstResult> want;
+  std::vector<experience::KeyedRecord> want_records;
+  for (const auto& g : layouts) {
+    const std::vector<double> fsp = selector->infer_fsp(*g);
+    const std::int32_t budget =
+        std::max<std::int32_t>(0, std::int32_t(g->pins().size()) - 2);
+    route::OarmstRouter router(*g);
+    want.push_back(router.build(
+        g->pins(), rl::SteinerSelector::top_k_valid(*g, fsp, budget, {})));
+    want_records.push_back(experience::build_record(
+        *g, want.back(), std::vector<float>(fsp.begin(), fsp.end()),
+        want.back().kept_steiner));
+  }
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    RouterServiceConfig cfg;
+    cfg.worker_threads = workers;
+    RouterService service(selector, cfg);
+    // Submitted together so every worker (and replica) takes some.
+    std::vector<std::future<RouteReply>> futs;
+    for (const auto& g : layouts) {
+      futs.push_back(service.submit(RouteRequest{g, std::nullopt}));
+    }
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      const RouteReply reply = futs[i].get();
+      const route::OarmstResult& w = want[i];
+      ASSERT_EQ(reply.status, ReplyStatus::kOk);
+      ASSERT_FALSE(reply.cache_hit);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reply.result.cost),
+                std::bit_cast<std::uint64_t>(w.cost))
+          << "workers " << workers << " layout " << i;
+      EXPECT_EQ(reply.result.tree.edges(), w.tree.edges())
+          << "workers " << workers << " layout " << i;
+      EXPECT_EQ(reply.result.kept_steiner, w.kept_steiner)
+          << "workers " << workers << " layout " << i;
+      const std::optional<experience::ExperienceRecord> stored =
+          service.experience().get(want_records[i].key);
+      ASSERT_TRUE(stored.has_value()) << "workers " << workers << " layout " << i;
+      ASSERT_FALSE(want_records[i].record.fsp_base.empty());
+      EXPECT_EQ(stored->fsp_base, want_records[i].record.fsp_base)
+          << "workers " << workers << " layout " << i;
+    }
+  }
+}
+
+TEST(RouterServiceWorkers, RepliesBitwiseMatchDirectPathFp32) {
+  expect_replies_match_direct_path(/*int8=*/false);
+}
+
+TEST(RouterServiceWorkers, RepliesBitwiseMatchDirectPathInt8) {
+  expect_replies_match_direct_path(/*int8=*/true);
+}
+
+TEST(RouterServiceWorkers, Int8ServiceRunsOneInt8ForwardPerMiss) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  const auto layouts = mixed_layouts();
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  selector->calibrate_int8({layouts[0].get(), layouts[2].get()});
+  ASSERT_TRUE(selector->int8_active());
+
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Counter& int8_fw = reg.counter("oar_nn_quant_int8_forwards_total");
+  obs::Counter& fp32_fw = reg.counter("oar_nn_quant_fp32_forwards_total");
+  const std::uint64_t int8_before = int8_fw.value();
+  const std::uint64_t fp32_before = fp32_fw.value();
+
+  RouterServiceConfig cfg;
+  cfg.worker_threads = 2;
+  RouterService service(selector, cfg);
+  std::vector<std::future<RouteReply>> futs;
+  for (const auto& g : layouts) {
+    futs.push_back(service.submit(RouteRequest{g, std::nullopt}));
+  }
+  std::uint64_t misses = 0;
+  for (auto& f : futs) misses += f.get().cache_hit ? 0 : 1;
+  // Repeats after their originals resolved: hits, no forward.
+  for (const auto& g : layouts) EXPECT_TRUE(service.route(g).cache_hit);
+
+  EXPECT_GE(misses, 1u);
+  EXPECT_EQ(int8_fw.value() - int8_before, misses);
+  EXPECT_EQ(fp32_fw.value() - fp32_before, 0u);
+}
+
+/// OS threads of this process, or 0 where /proc is unavailable.
+std::size_t os_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return std::size_t(std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(RouterServiceWorkers, AddsExactlyWorkerThreadsOsThreads) {
+  // ThreadSanitizer starts a helper thread with the first thread a process
+  // creates; let it start before taking the baseline.
+  std::thread([] {}).join();
+  const std::size_t base = os_threads();
+  if (base == 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  for (const std::size_t workers : {1u, 3u}) {
+    RouterServiceConfig cfg;
+    cfg.worker_threads = workers;
+    RouterService service(selector, cfg);
+    EXPECT_EQ(os_threads(), base + workers);
+    // Serving starts nothing lazily.
+    EXPECT_TRUE(service.route(std::make_shared<const HananGrid>(small_grid()))
+                    .result.connected);
+    EXPECT_EQ(os_threads(), base + workers);
+  }
+  EXPECT_EQ(os_threads(), base);
+}
+
+TEST(RouterServiceWorkers, DestructorCompletesEverySubmittedFuture) {
+  const auto layouts = mixed_layouts();
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  std::vector<std::future<RouteReply>> futs;
+  {
+    RouterServiceConfig cfg;
+    cfg.worker_threads = 2;
+    cfg.cache_capacity = 0;
+    RouterService service(selector, cfg);
+    for (int round = 0; round < 4; ++round) {
+      for (const auto& g : layouts) {
+        futs.push_back(service.submit(RouteRequest{g, std::nullopt}));
+      }
+    }
+  }  // destroyed with most requests still queued
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_TRUE(f.get().result.connected);
+  }
+}
+
+TEST(RouterServiceWorkers, RepeatSubmittedAfterItsOriginalResolvesHits) {
+  const auto layouts = mixed_layouts();
+  const auto augs = rl::all_augmentations();
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  RouterServiceConfig cfg;
+  cfg.worker_threads = 4;
+  RouterService service(selector, cfg);
+  std::vector<std::future<RouteReply>> originals;
+  for (const auto& g : layouts) {
+    originals.push_back(service.submit(RouteRequest{g, std::nullopt}));
+  }
+  // Each repeat (a symmetry variant) goes out the moment its original's
+  // future is ready, while other workers are still busy.
+  for (std::size_t i = 0; i < layouts.size(); ++i) {
+    const RouteReply original = originals[i].get();
+    ASSERT_FALSE(original.cache_hit);
+    const auto variant = std::make_shared<const HananGrid>(
+        rl::transform_grid(*layouts[i], augs[(i * 5) % augs.size()]));
+    const RouteReply repeat =
+        service.submit(RouteRequest{variant, std::nullopt}).get();
+    EXPECT_TRUE(repeat.cache_hit) << "layout " << i;
+    EXPECT_EQ(repeat.result.cost, original.result.cost) << "layout " << i;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
-// SLO-aware serving battery (DESIGN.md §16): admission control, urgency
-// scheduling, deadline stamping, and the three batching/metrics bugfix
-// regressions —
-//   * take_batch's assembly stage is measured, not hard-coded zero,
-//   * batch_wait_ms == 0 never enters a timed wait (timed_waits() hook),
-//   * the queue-depth gauge is refreshed at every mutation point.
-// Suite names contain "RouterService" on purpose: the CI ThreadSanitizer
-// lane selects its battery by that substring.
+// SLO-aware serving battery (DESIGN.md §16): admission control, EDF
+// scheduling and deadline stamping.  The scheduling tests pin a one-worker
+// service on a slow large-grid request and queue behind it.
+// Suite names contain "RouterService" on purpose: the CI sanitizer lanes
+// select their batteries by that substring.
 
 #include "serve/service.hpp"
 
@@ -55,6 +52,17 @@ std::shared_ptr<const HananGrid> small_grid(std::uint64_t seed = 4) {
   return grid_of_shape(6, 6, 2, seed);
 }
 
+/// Submits a slow request (a 64x64x8 layout) to a one-worker service and
+/// returns once the worker has taken it off the queue, so the caller's
+/// next submissions queue behind it.
+std::future<RouteReply> pin_single_worker(RouterService& service) {
+  auto pin = service.submit(RouteRequest{grid_of_shape(64, 64, 8), std::nullopt});
+  while (service.metrics().snapshot().stages[std::size_t(Stage::kQueueWait)].count == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return pin;
+}
+
 Clock::time_point in_ms(double ms) {
   return Clock::now() + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double, std::milli>(ms));
@@ -90,76 +98,12 @@ TEST(RouterServiceSlo, SloConfigValidates) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
-TEST(RouterServiceSlo, ZeroBatchWaitNeverEntersTimedWait) {
-  RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 0.0;  // the short-circuit under test
-  cfg.cache_capacity = 0;
-  RouterService service(tiny_selector(), cfg);
-  std::vector<std::future<RouteReply>> futures;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    futures.push_back(
-        service.submit(RouteRequest{small_grid(seed), std::nullopt}));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().result.connected);
-  EXPECT_EQ(service.timed_waits(), 0u);
-}
-
-TEST(RouterServiceSlo, NonzeroBatchWaitDoesTimedWait) {
-  // Control for the short-circuit: a lone request with a straggler window
-  // must enter exactly the timed wait the zero-wait path skips.
-  RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 30.0;
-  cfg.cache_capacity = 0;
-  RouterService service(tiny_selector(), cfg);
-  EXPECT_TRUE(service.route(small_grid()).result.connected);
-  EXPECT_GE(service.timed_waits(), 1u);
-}
-
-TEST(RouterServiceSlo, BatchAssemblyStageIsMeasured) {
-  // Regression: kBatchAssembly used to be recorded as a hard-coded 0.0.
-  // A lone request with a 50ms straggler window must show the window in
-  // the assembly stage (pop -> dispatch interval).
-  RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 50.0;
-  cfg.cache_capacity = 0;
-  RouterService service(tiny_selector(), cfg);
-  EXPECT_TRUE(service.route(small_grid()).result.connected);
-
-  const MetricsSnapshot snap = service.metrics().snapshot();
-  const StageSummary& assembly =
-      snap.stages[std::size_t(Stage::kBatchAssembly)];
-  ASSERT_EQ(assembly.count, 1u);
-  // Scheduler jitter can stretch the window but never shrink it below
-  // ~the configured wait; 25ms rules out the old 0.0 without flaking.
-  EXPECT_GE(assembly.mean_ms, 25.0);
-}
-
-TEST(RouterServiceSlo, DeadlineCapsStragglerWait) {
-  // A leader with near-zero slack must not sit out the full straggler
-  // window: the wait is capped at its deadline.
-  RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 500.0;
-  cfg.cache_capacity = 0;
-  RouterService service(tiny_selector(), cfg);
-  const auto t0 = Clock::now();
-  const RouteReply reply =
-      service.submit(RouteRequest{small_grid(), in_ms(10.0)}).get();
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  EXPECT_TRUE(reply.result.connected);
-  EXPECT_LT(elapsed_ms, 400.0);  // well under the 500ms window
-}
-
 TEST(RouterServiceSlo, DefaultDeadlineIsStampedAndFlagged) {
   // A service-level default deadline applies to requests without their
   // own; an (unmeetable) default must flag the reply late but still serve
   // it — reject_hopeless stays off by default.
   RouterServiceConfig cfg;
-  cfg.max_batch = 1;
+  cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
   cfg.slo.default_deadline_ms = 1e-3;
   RouterService service(tiny_selector(), cfg);
@@ -172,7 +116,7 @@ TEST(RouterServiceSlo, DefaultDeadlineIsStampedAndFlagged) {
 
 TEST(RouterServiceSlo, HopelessDeadlineRejectsTyped) {
   RouterServiceConfig cfg;
-  cfg.max_batch = 1;
+  cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
   cfg.slo.reject_hopeless = true;
   RouterService service(tiny_selector(), cfg);
@@ -191,24 +135,21 @@ TEST(RouterServiceSlo, HopelessDeadlineRejectsTyped) {
 }
 
 TEST(RouterServiceSlo, QueueFullRejectsTyped) {
-  // Deterministic overload: the batcher is pinned in a long straggler wait
-  // on shape A, so differently-shaped submissions accumulate in the queue
-  // until the admission bound trips.
+  // Deterministic overload: the only worker is busy on a slow request, so
+  // later submissions accumulate in the queue until the admission bound
+  // trips.
   RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 300.0;
+  cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
   cfg.slo.max_queue_depth = 2;
   RouterService service(tiny_selector(), cfg);
 
-  // Pin the batcher: lone 6x6x2 leader waits 300ms for same-shape company.
-  auto pin = service.submit(RouteRequest{small_grid(), std::nullopt});
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // Different shape: queued behind the pinned batch, never harvested.
-  auto q1 = service.submit(RouteRequest{grid_of_shape(5, 5, 1, 7), std::nullopt});
-  auto q2 = service.submit(RouteRequest{grid_of_shape(5, 5, 1, 8), std::nullopt});
-  auto q3 = service.submit(RouteRequest{grid_of_shape(5, 5, 1, 9), std::nullopt});
+  auto pin = pin_single_worker(service);
+  auto q1 = service.submit(RouteRequest{small_grid(7), std::nullopt});
+  auto q2 = service.submit(RouteRequest{small_grid(8), std::nullopt});
+  auto q3 = service.submit(RouteRequest{small_grid(9), std::nullopt});
+  ASSERT_NE(pin.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+      << "the pinning request finished before the queue filled";
 
   // The third must already be resolved, typed, and empty.
   ASSERT_EQ(q3.wait_for(std::chrono::seconds(0)), std::future_status::ready);
@@ -225,23 +166,19 @@ TEST(RouterServiceSlo, QueueFullRejectsTyped) {
 }
 
 TEST(RouterServiceSlo, UrgentRequestIsScheduledFirst) {
-  // While the batcher is pinned on shape A, enqueue a deadline-less
-  // request then a later, urgent one (different shapes, so they land in
-  // separate batches).  Urgency scheduling pops the later, urgent request
-  // first: its queue wait must come out shorter.
+  // While the only worker is busy, enqueue a deadline-less request then a
+  // later, urgent one.  EDF pops the later, urgent request first: its
+  // queue wait must come out shorter.
   RouterServiceConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batch_wait_ms = 300.0;
+  cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
   RouterService service(tiny_selector(), cfg);
 
-  auto pin = service.submit(RouteRequest{small_grid(), std::nullopt});
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  auto relaxed =
-      service.submit(RouteRequest{grid_of_shape(5, 5, 1, 7), std::nullopt});
-  auto urgent = service.submit(
-      RouteRequest{grid_of_shape(4, 4, 2, 8), in_ms(60000.0)});
+  auto pin = pin_single_worker(service);
+  auto relaxed = service.submit(RouteRequest{small_grid(7), std::nullopt});
+  auto urgent = service.submit(RouteRequest{small_grid(8), in_ms(60000.0)});
+  ASSERT_NE(pin.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+      << "the pinning request finished before both were queued";
 
   const RouteReply relaxed_reply = relaxed.get();
   const RouteReply urgent_reply = urgent.get();
@@ -254,7 +191,7 @@ TEST(RouterServiceSlo, UrgentRequestIsScheduledFirst) {
 
 TEST(RouterServiceSlo, ScrapeCarriesSloFamilies) {
   RouterServiceConfig cfg;
-  cfg.max_batch = 1;
+  cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
   cfg.slo.default_deadline_ms = 60000.0;
   RouterService service(tiny_selector(), cfg);
