@@ -17,28 +17,25 @@ class Conv3d : public Module {
   Conv3d(std::int32_t in_channels, std::int32_t out_channels, std::int32_t kernel,
          util::Rng& rng, std::int32_t padding = -1);
 
-  /// Both modes run infer_into (the tiled kernels of conv3d_batch.cpp) on
+  /// Both modes run infer_into (the line kernel of conv3d_kernels.cpp) on
   /// the thread's local_inference_scratch(); training mode also retains the
   /// input for backward.
   Tensor forward(const Tensor& input) override;
   /// Accumulates into weight().grad / bias().grad and returns a fully
-  /// written input gradient.  Also defined in conv3d_batch.cpp: the input
-  /// gradient is a convolution on the forward's kernels, the weight
+  /// written input gradient.  Also defined in conv3d_kernels.cpp: the input
+  /// gradient is a convolution on the forward's kernel, the weight
   /// gradient a vector-register kernel, both with workspaces from the
   /// thread's local_inference_scratch().  Deterministic per sample.
   Tensor backward(const Tensor& grad_output) override;
-  /// (N, IC, D0, D1, D2) -> (N, OC, O0, O1, O2).  Unlike the looped base
-  /// default, this runs one im2col + register-blocked GEMM over the whole
-  /// batch — the kernel the serving layer's micro-batching amortizes.
-  Tensor forward_batch(const Tensor& input) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
-  /// Single-sample inference kernel: convolves the (in_channels, D0, D1,
+  /// Single-sample convolution kernel: convolves the (in_channels, D0, D1,
   /// D2) volume at `in` into the (out_channels, O0, O1, O2) buffer at
-  /// `out` using the register-tiled/im2col machinery of conv3d_batch.cpp
+  /// `out` with the register-tiled line kernel of conv3d_kernels.cpp
   /// (which also defines this, so it compiles under that TU's wider
-  /// flags).  All temporaries come from `scratch`; nothing is retained, so
-  /// a warmed-up call performs zero heap allocations.
+  /// flags), for any extent, channel count, odd kernel and padding.  All
+  /// temporaries come from `scratch`; nothing is retained, so a warmed-up
+  /// call performs zero heap allocations.
   ///
   /// Parameter order follows the repo-wide *_into convention (DESIGN.md
   /// §13): inputs, then scratch, then the output buffer last.

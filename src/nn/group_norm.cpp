@@ -82,45 +82,6 @@ Tensor GroupNorm::forward(const Tensor& input) {
   return out;
 }
 
-Tensor GroupNorm::forward_batch(const Tensor& input) {
-  assert(input.dim() == 5 && input.shape(1) == channels_);
-  const std::int32_t N = input.shape(0);
-  const std::int64_t spatial =
-      std::int64_t(input.shape(2)) * input.shape(3) * input.shape(4);
-  const std::int32_t cpg = channels_ / groups_;
-  const std::int64_t group_size = cpg * spatial;
-  const std::int64_t sample_size = std::int64_t(channels_) * spatial;
-
-  Tensor out(input.shape());
-  const float* x = input.data();
-  float* y = out.data();
-
-  for (std::int32_t n = 0; n < N; ++n) {
-    for (std::int32_t g = 0; g < groups_; ++g) {
-      const std::int64_t base = n * sample_size + std::int64_t(g) * group_size;
-      double sum = 0.0, sum_sq = 0.0;
-      for (std::int64_t i = 0; i < group_size; ++i) {
-        const double v = x[base + i];
-        sum += v;
-        sum_sq += v * v;
-      }
-      const double mu = sum / double(group_size);
-      const double var = std::max(0.0, sum_sq / double(group_size) - mu * mu);
-      const float inv = float(1.0 / std::sqrt(var + eps_));
-      for (std::int32_t c = 0; c < cpg; ++c) {
-        const std::int32_t chan = g * cpg + c;
-        const float gam = gamma_.value[chan];
-        const float bet = beta_.value[chan];
-        const std::int64_t cbase = base + std::int64_t(c) * spatial;
-        for (std::int64_t i = 0; i < spatial; ++i) {
-          y[cbase + i] = gam * ((x[cbase + i] - float(mu)) * inv) + bet;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 void GroupNorm::infer_into(const float* in, std::int64_t spatial,
                            float* out) const {
   const std::int32_t cpg = channels_ / groups_;

@@ -18,9 +18,6 @@ class GroupNorm : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// (N, C, D0, D1, D2): statistics stay per sample per group, so batched
-  /// output matches the per-sample forward exactly.
-  Tensor forward_batch(const Tensor& input) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   // Single-sample inference kernels (no retention; same double-precision

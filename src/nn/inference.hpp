@@ -8,19 +8,19 @@
 // thousands of times per episode and never backprops.  An InferenceScratch
 // owns (a) a pool of activation tensors handed out in pass order via
 // push()/rewind() — ping-pong buffers sized to the layer high-water mark —
-// and (b) the named flat workspaces of the tiled convolution kernels
-// (transposed weights, im2col panel, GEMM product panel, accumulator
-// block, and Conv3d::backward's gradient workspaces — training passes use
-// the thread's local_inference_scratch()).  Everything is grow-only, so after one warmed-up pass of a given
-// layout size a full inference forward performs zero heap allocations
-// (asserted by tests/test_inference.cpp via an operator-new counting hook
-// and the grow_events() counter below).
+// and (b) the named flat workspaces of the convolution kernels (the
+// transposed, lane-padded weights and Conv3d::backward's output-gradient
+// transpose — training passes use the thread's
+// local_inference_scratch()).  Everything is grow-only, so after one
+// warmed-up pass of a given layout size a full inference forward performs
+// zero heap allocations (asserted by tests/test_inference.cpp via an
+// operator-new counting hook and the grow_events() counter below).
 //
 // Threading contract (mirrors route::RouterScratch): an InferenceScratch is
 // NOT thread safe and must not be shared between concurrently running
 // forwards.  Each UNet3d owns one (so one selector == one arena, which is
-// what threads ActorCritic, serve::BatchedSelector and the trainer clone
-// pool correctly — they all hold per-worker selectors); standalone
+// what threads ActorCritic, the serve workers and the trainer clone pool
+// correctly — they all hold per-worker selectors); standalone
 // eval-mode layer forwards fall back to local_inference_scratch(), one per
 // thread.
 //
@@ -57,15 +57,10 @@ class InferenceScratch {
   std::size_t used() const { return used_; }
 
   // Named kernel workspaces, grow-only.  wt: (K, OC)-transposed conv
-  // weights; col/prod/acc: im2col panel, GEMM output panel, register block.
+  // weights, lane-padded, then the bias; grad_t: Conv3d::backward's
+  // voxel-major output gradient.
   float* wt(std::size_t n) { return ensure(wt_, n); }
-  float* col(std::size_t n) { return ensure(col_, n); }
-  float* prod(std::size_t n) { return ensure(prod_, n); }
-  float* acc(std::size_t n) { return ensure(acc_, n); }
-  // Conv3d::backward workspaces: grad_t: voxel-major output gradient;
-  // grad_x: input gradient padded to a direct kernel's channel width.
   float* grad_t(std::size_t n) { return ensure(grad_t_, n); }
-  float* grad_x(std::size_t n) { return ensure(grad_x_, n); }
 
   /// Number of capacity-growth events (new slot, or any slot/workspace
   /// outgrowing its storage).  A warmed-up arena must hold this constant —
@@ -79,11 +74,7 @@ class InferenceScratch {
   std::vector<std::unique_ptr<Tensor>> slots_;
   std::size_t used_ = 0;
   std::vector<float> wt_;
-  std::vector<float> col_;
-  std::vector<float> prod_;
-  std::vector<float> acc_;
   std::vector<float> grad_t_;
-  std::vector<float> grad_x_;
   std::uint64_t grow_events_ = 0;
 };
 

@@ -10,16 +10,14 @@
 // caches whatever it needs in forward(); backward(grad_out) must be called
 // after the matching forward.
 //
-// For inference there is additionally ONE public batched API:
-// forward_batch() takes a tensor with a leading batch dimension (N, ...)
-// and returns the stacked outputs (N, ...).  The base-class default loops
-// forward() over the samples, so every module is batch-callable; hot
-// modules (Conv3d) override it with genuinely batched kernels.  The
-// serving layer (src/serve) feeds micro-batches through this path.
-// forward_batch() clobbers the single-sample caches, so backward() must
-// not be called after it.
+// forward_batch() is a convenience loop for callers holding a stacked
+// (N, ...) tensor (rl::dataset_loss): it runs forward() once per sample
+// and stacks the outputs.  There is no batched kernel — on this CPU-only
+// engine batching was slower per sample than the single-sample path — and
+// the loop clobbers the single-sample caches, so backward() must not be
+// called after it.
 //
-// Both modes convolve with the tiled kernels of conv3d_batch.cpp, so
+// Both modes convolve with the line kernel of conv3d_kernels.cpp, so
 // training numerics follow the host's vector ISA (bitwise-reproducible per
 // host, not across ISAs).  set_training(false) switches forward() itself
 // onto the single-sample inference engine (DESIGN.md §11): temporaries
@@ -72,9 +70,9 @@ class Module {
   /// dLoss/dInput.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Batched inference over (N, <sample shape>) -> (N, <output shape>).
-  /// Inference-only: invalidates the caches backward() relies on.
-  virtual Tensor forward_batch(const Tensor& input);
+  /// forward() over each sample of (N, <sample shape>), stacked to
+  /// (N, <output shape>).  Invalidates the caches backward() relies on.
+  Tensor forward_batch(const Tensor& input);
 
   /// Appends raw pointers to this module's (and submodules') parameters.
   virtual void collect_parameters(std::vector<Parameter*>& out) { (void)out; }

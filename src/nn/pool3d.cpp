@@ -51,38 +51,6 @@ Tensor MaxPool3d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxPool3d::forward_batch(const Tensor& input) {
-  assert(input.dim() == 5);
-  const std::int32_t N = input.shape(0), C = input.shape(1), D0 = input.shape(2),
-                     D1 = input.shape(3), D2 = input.shape(4);
-  const std::int32_t O0 = out_dim(D0), O1 = out_dim(D1), O2 = out_dim(D2);
-
-  Tensor out({N, C, O0, O1, O2});
-  const float* x = input.data();
-  float* y = out.data();
-  std::int64_t oi = 0;
-  for (std::int64_t nc = 0; nc < std::int64_t(N) * C; ++nc) {
-    const std::int64_t cbase = nc * D0 * D1 * D2;
-    for (std::int32_t o0 = 0; o0 < O0; ++o0) {
-      for (std::int32_t o1 = 0; o1 < O1; ++o1) {
-        for (std::int32_t o2 = 0; o2 < O2; ++o2, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int32_t z0 = o0 * 2; z0 < std::min(D0, o0 * 2 + 2); ++z0) {
-            for (std::int32_t z1 = o1 * 2; z1 < std::min(D1, o1 * 2 + 2); ++z1) {
-              for (std::int32_t z2 = o2 * 2; z2 < std::min(D2, o2 * 2 + 2); ++z2) {
-                best = std::max(best,
-                                x[cbase + (std::int64_t(z0) * D1 + z1) * D2 + z2]);
-              }
-            }
-          }
-          y[oi] = best;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 void MaxPool3d::infer_into(const float* in, std::int32_t C, std::int32_t D0,
                            std::int32_t D1, std::int32_t D2, float* out) const {
   const std::int32_t O0 = out_dim(D0), O1 = out_dim(D1), O2 = out_dim(D2);

@@ -18,8 +18,6 @@ class MaxPool3d : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// (N, C, D0, D1, D2) -> (N, C, ceil/2 dims); no argmax bookkeeping.
-  Tensor forward_batch(const Tensor& input) override;
 
   static std::int32_t out_dim(std::int32_t d) { return (d + 1) / 2; }
 

@@ -63,21 +63,6 @@ Tensor ResidualBlock3d::forward(const Tensor& input) {
   return main;
 }
 
-Tensor ResidualBlock3d::forward_batch(const Tensor& input) {
-  Tensor main = norm1_.forward_batch(conv1_.forward_batch(input));
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    main[i] = std::max(0.0f, main[i]);
-  }
-  main = norm2_.forward_batch(conv2_.forward_batch(main));
-  const Tensor skip = projection_ ? projection_->forward_batch(input) : input;
-  assert(main.shape() == skip.shape());
-  main += skip;
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    main[i] = std::max(0.0f, main[i]);
-  }
-  return main;
-}
-
 const Tensor& ResidualBlock3d::infer(const Tensor& input,
                                      InferenceScratch& arena) {
   assert(input.dim() == 4 && input.shape(0) == conv1_.in_channels());

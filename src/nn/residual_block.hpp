@@ -20,9 +20,6 @@ class ResidualBlock3d : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// Batched inference threading (N, C, ...) through the batched kernels
-  /// of the submodules (no ReLU masks are recorded).
-  Tensor forward_batch(const Tensor& input) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void set_training(bool training) override;
 

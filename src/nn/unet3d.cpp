@@ -28,22 +28,6 @@ Tensor concat_channels(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-/// Concatenate two (N, C, D0, D1, D2) tensors along channels.
-Tensor concat_channels_batch(const Tensor& a, const Tensor& b) {
-  assert(a.dim() == 5 && b.dim() == 5);
-  assert(a.shape(0) == b.shape(0) && a.shape(2) == b.shape(2) &&
-         a.shape(3) == b.shape(3) && a.shape(4) == b.shape(4));
-  Tensor out({a.shape(0), a.shape(1) + b.shape(1), a.shape(2), a.shape(3), a.shape(4)});
-  const std::int64_t a_sample = a.numel() / a.shape(0);
-  const std::int64_t b_sample = b.numel() / b.shape(0);
-  for (std::int32_t n = 0; n < a.shape(0); ++n) {
-    float* dst = out.data() + n * (a_sample + b_sample);
-    std::copy(a.data() + n * a_sample, a.data() + (n + 1) * a_sample, dst);
-    std::copy(b.data() + n * b_sample, b.data() + (n + 1) * b_sample, dst + a_sample);
-  }
-  return out;
-}
-
 /// Split gradient of a channel concat back into the two parts.
 std::pair<Tensor, Tensor> split_channels(const Tensor& grad, std::int32_t c_first,
                                          std::int32_t c_second) {
@@ -171,28 +155,6 @@ const Tensor& UNet3d::infer(const Tensor& input) {
   head_->infer_into(x->data(), x->shape(1), x->shape(2), x->shape(3), arena,
                     logits.data());
   return logits;
-}
-
-Tensor UNet3d::forward_batch(const Tensor& input) {
-  assert(input.dim() == 5 && input.shape(1) == config_.in_channels);
-
-  Tensor x = input;
-  std::vector<Tensor> skips;
-  for (std::int32_t level = 0; level < config_.depth; ++level) {
-    x = encoders_[std::size_t(level)]->forward_batch(x);
-    skips.push_back(x);
-    x = pools_[std::size_t(level)].forward_batch(x);
-  }
-  x = bottleneck_->forward_batch(x);
-
-  for (std::int32_t i = 0; i < config_.depth; ++i) {
-    const std::int32_t level = config_.depth - 1 - i;
-    const auto& skip = skips[std::size_t(level)];
-    upsamples_[std::size_t(i)].set_target(skip.shape(2), skip.shape(3), skip.shape(4));
-    Tensor up = upsamples_[std::size_t(i)].forward_batch(x);
-    x = decoders_[std::size_t(i)]->forward_batch(concat_channels_batch(up, skip));
-  }
-  return head_->forward_batch(x);
 }
 
 Tensor UNet3d::backward(const Tensor& grad_output) {

@@ -62,10 +62,6 @@ class UNet3d : public Module {
   /// This net's arena (one per net — the per-worker threading contract of
   /// DESIGN.md §11 follows from per-worker selectors).
   InferenceScratch& inference_scratch() { return *scratch_; }
-  /// (N, in_channels, H, V, M) -> logits (N, 1, H, V, M); all samples of a
-  /// micro-batch must share one (H, V, M) shape.  Inference-only: threads
-  /// the batch through each layer's batched kernel (GEMM convolutions).
-  Tensor forward_batch(const Tensor& input) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   void set_training(bool training) override;
 
