@@ -27,7 +27,6 @@
 #include "chip/congestion.hpp"
 #include "chip/netlist.hpp"
 #include "chip/ordering.hpp"
-#include "core/multi_net.hpp"
 #include "core/pretrained.hpp"
 #include "core/registry.hpp"
 #include "core/rl_router.hpp"

@@ -35,10 +35,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "chip/chip_router.hpp"
 #include "chip/netlist.hpp"
-#include "core/multi_net.hpp"
 #include "core/rl_router.hpp"
 #include "experience/store.hpp"
 #include "mcts/comb_mcts.hpp"
@@ -48,6 +48,12 @@
 #include "steiner/router_base.hpp"
 
 namespace oar::core {
+
+/// A named net: the pins one route() call connects.
+struct Net {
+  std::string name;
+  std::vector<hanan::Vertex> pins;
+};
 
 struct RouterOptions {
   /// Engine by RouterRegistry name.  "rl-ours" uses the bundled pretrained

@@ -30,8 +30,8 @@ class RouteTree {
   explicit RouteTree(const HananGrid* grid = nullptr) : grid_(grid) {}
 
   /// Re-points the tree at an equivalent grid (same dims/costs).  Needed
-  /// when a tree outlives the grid instance it was built against (e.g. the
-  /// per-net grids of core::route_nets).
+  /// when a tree outlives the grid instance it was built against (e.g. a
+  /// served reply's grid copy, or chip::ChipRouter's per-net grids).
   void rebind_grid(const HananGrid* grid) { grid_ = grid; }
 
   /// Adds the edge (deduplicated); returns true when newly inserted.
