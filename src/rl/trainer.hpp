@@ -118,7 +118,7 @@ struct FitOptions {
 /// Shards mini-batches across per-worker selector replicas.  Worker w
 /// forward/backwards its contiguous shard on its own replica (the network
 /// caches are not thread safe, so the gradient path stays per-sample;
-/// Module::forward_batch is inference-only) and snapshots each sample's
+/// Module::forward_batch clobbers them) and snapshots each sample's
 /// gradient into a per-batch-position buffer.  The buffers are then merged
 /// pairwise — a binary tree reduction keyed by batch position, NOT by
 /// worker id — and the root is added into the master's parameter
@@ -180,9 +180,9 @@ double fit_dataset(SteinerSelector& selector, nn::Adam& optimizer,
 
 /// Mean masked BCE over the whole dataset without touching gradients or
 /// RNG state.  Stacks each same-size batch through Module::forward_batch
-/// (the batched inference kernels), so it is cheap enough to run every
-/// stage; it clobbers the single-sample forward caches, so call it between
-/// training steps, never between a forward and its backward.
+/// (one forward per sample, no backward), so it is cheap enough to run
+/// every stage; it clobbers the single-sample forward caches, so call it
+/// between training steps, never between a forward and its backward.
 double dataset_loss(SteinerSelector& selector, const Dataset& dataset,
                     std::size_t batch_size);
 
