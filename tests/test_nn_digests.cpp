@@ -12,6 +12,12 @@
 // The convolution translation unit builds with -march=native, so the bits
 // assume an FMA-capable x86 host (the int8 golden digests of
 // test_mcts_golden.cpp make the same assumption).
+//
+// The default nets have GroupNorm gamma = 1, beta = 0 and zero conv biases,
+// so their digests cannot see how `gamma * n + beta` rounds (a fused
+// multiply-add there changes bits).  The Fp32AffineDigest tables re-run the
+// same passes with random gamma, beta and biases; they were recorded at
+// commit 24fa9a5, before the non-conv layers were vectorized.
 
 #include <gtest/gtest.h>
 
@@ -81,6 +87,19 @@ std::uint64_t training_digest(UNet3d& net, const Tensor& input) {
   return d.value();
 }
 
+/// Random GroupNorm affine and conv biases; every other parameter keeps its
+/// seeded initialization.
+void randomize_affine(UNet3d& net, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (Parameter* p : net.parameters()) {
+    const bool gamma = p->name == "gn.gamma";
+    if (!gamma && p->name != "gn.beta" && p->name != "conv.bias") continue;
+    for (std::int64_t i = 0; i < p->value.numel(); ++i) {
+      p->value[i] = float(gamma ? rng.normal(1.0, 0.5) : rng.normal(0.0, 0.3));
+    }
+  }
+}
+
 struct Size {
   std::int32_t h, v, m;
 };
@@ -126,6 +145,51 @@ TEST(Fp32Digest, Base5UNetForwardAndTraining) {
     const Tensor input = sparse_input(7, s.h, s.v, s.m, 2000 + i);
     EXPECT_EQ(hex(eval_digest(net, input)), hex(kBase5Net[i][0])) << "eval forward";
     EXPECT_EQ(hex(training_digest(net, input)), hex(kBase5Net[i][1]))
+        << "training forward + backward";
+  }
+}
+
+// {eval forward, training fwd+bwd} per size with random affine, recorded at
+// commit 24fa9a5.
+constexpr Size kAffineSizes[] = {{12, 12, 3}, {16, 16, 4}, {32, 32, 8}};
+constexpr std::uint64_t kAffineDefaultNet[std::size(kAffineSizes)][2] = {
+    {0x3829a29321242cb5ull, 0x12f9d27ebd8776d5ull},
+    {0x5b7987de8e3d8a44ull, 0xdb35cecdc17882b9ull},
+    {0x0c3376eeb7ae7410ull, 0xa8d39455cba06a87ull},
+};
+
+TEST(Fp32AffineDigest, DefaultUNetForwardAndTraining) {
+  UNet3d net;
+  randomize_affine(net, 4000);
+  for (std::size_t i = 0; i < std::size(kAffineSizes); ++i) {
+    const Size s = kAffineSizes[i];
+    SCOPED_TRACE(::testing::Message() << s.h << "x" << s.v << "x" << s.m);
+    const Tensor input = sparse_input(7, s.h, s.v, s.m, 4100 + i);
+    EXPECT_EQ(hex(eval_digest(net, input)), hex(kAffineDefaultNet[i][0])) << "eval forward";
+    EXPECT_EQ(hex(training_digest(net, input)), hex(kAffineDefaultNet[i][1]))
+        << "training forward + backward";
+  }
+}
+
+// base_channels = 5 runs GroupNorm at 1, 2 and 4 groups (5, 10 and 20
+// channels).  {eval, training} at 12x12x3 and 16x16x5.
+constexpr std::uint64_t kAffineBase5Net[2][2] = {
+    {0x189f9bd3013e5896ull, 0x5a19873c056906e9ull},
+    {0x1d0d903220b52f3full, 0x22fb578c39c25324ull},
+};
+
+TEST(Fp32AffineDigest, Base5UNetForwardAndTraining) {
+  UNet3dConfig config;
+  config.base_channels = 5;
+  UNet3d net(config);
+  randomize_affine(net, 5000);
+  const Size sizes[] = {{12, 12, 3}, {16, 16, 5}};
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    const Size s = sizes[i];
+    SCOPED_TRACE(::testing::Message() << s.h << "x" << s.v << "x" << s.m);
+    const Tensor input = sparse_input(7, s.h, s.v, s.m, 5100 + i);
+    EXPECT_EQ(hex(eval_digest(net, input)), hex(kAffineBase5Net[i][0])) << "eval forward";
+    EXPECT_EQ(hex(training_digest(net, input)), hex(kAffineBase5Net[i][1]))
         << "training forward + backward";
   }
 }
