@@ -13,7 +13,8 @@
 // relative tolerance; a mismatch is a hard failure.  A second section runs
 // whole CombMcts episodes in both modes to show the end-to-end win, and a
 // third times one training sample (forward + BCE + backward) at 16x16x4
-// and 32x32x8.  A size sweep then times the fp32 and int8 engines per
+// and 32x32x8, and a fourth times each non-conv layer kind (and the
+// pointwise convolutions) at the default U-Net's 32x32x8 shapes.  A size sweep then times the fp32 and int8 engines per
 // voxel over H = V in {12, 16, 24, 32} and M in {3..10}: in full mode the
 // fp32 ns/voxel at every M in {4..10} must stay within 1.6x of the same
 // H = V at M = 8 (the paper's "any number of routing layers"; M = 3 is
@@ -29,13 +30,20 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "gen/random_layout.hpp"
 #include "mcts/comb_mcts.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv3d.hpp"
+#include "nn/group_norm.hpp"
+#include "nn/inference.hpp"
 #include "nn/loss.hpp"
+#include "nn/pool3d.hpp"
+#include "nn/residual_block.hpp"
 #include "nn/quant/simd.hpp"
 #include "obs/metrics.hpp"
 #include "rl/evaluate.hpp"
@@ -216,6 +224,159 @@ double bench_train(std::int32_t dim, std::int32_t layers, int reps) {
   util::Timer timer;
   for (int r = 0; r < reps; ++r) step();
   return double(reps) / std::max(timer.seconds(), 1e-12);
+}
+
+/// A (C, D0, D1, D2) activation of the default U-Net at 32x32x8.
+struct Volume {
+  std::int32_t c, d0, d1, d2;
+  std::int64_t spatial() const { return std::int64_t(d0) * d1 * d2; }
+  std::vector<std::int32_t> shape() const { return {c, d0, d1, d2}; }
+};
+
+// Residual block outputs in pass order (base 8, depth 2): encoders, the
+// bottleneck, decoders.  Every block runs GN+ReLU once and GN+add+ReLU once.
+constexpr Volume kBlockVolumes[] = {
+    {8, 32, 32, 8}, {16, 16, 16, 4}, {32, 8, 8, 2}, {16, 16, 16, 4}, {8, 32, 32, 8}};
+// Upsample inputs and their targets; max-pool inputs.
+constexpr Volume kUpsampleIn[] = {{32, 8, 8, 2}, {16, 16, 16, 4}};
+constexpr Volume kUpsampleOut[] = {{32, 16, 16, 4}, {16, 32, 32, 8}};
+constexpr Volume kPoolIn[] = {{8, 32, 32, 8}, {16, 16, 16, 4}};
+// Pointwise convolutions: the five skip projections, then the head.
+struct Pointwise {
+  Volume in;
+  std::int32_t oc;
+};
+constexpr Pointwise kPointwise[] = {{{7, 32, 32, 8}, 8},   {{8, 16, 16, 4}, 16},
+                                    {{16, 8, 8, 2}, 32},   {{48, 16, 16, 4}, 16},
+                                    {{24, 32, 32, 8}, 8},  {{8, 32, 32, 8}, 1}};
+
+struct LayerTime {
+  const char* name;
+  double us = 0.0;  // median over rounds of one pass's total
+};
+
+/// Per layer kind, the time of every instance in one 32x32x8 U-Net pass of
+/// the default net, single thread, median of `rounds` rounds.  Inputs are
+/// mixed-sign Gaussians and every GroupNorm has a random affine.
+std::vector<LayerTime> bench_layers(int rounds) {
+  util::Rng rng(23);
+  const auto gaussian = [&](const Volume& v) { return nn::Tensor::randn(v.shape(), rng); };
+  std::vector<nn::GroupNorm> norms;
+  std::vector<nn::Tensor> block_x, block_skip, block_go;
+  for (const Volume& v : kBlockVolumes) {
+    for (int k = 0; k < 2; ++k) {
+      norms.emplace_back(v.c, nn::ResidualBlock3d::pick_groups(v.c));
+      nn::GroupNorm& gn = norms.back();
+      for (nn::Parameter* p : gn.parameters()) p->value = nn::Tensor::randn({v.c}, rng, 0.5f);
+      block_x.push_back(gaussian(v));
+      block_go.push_back(gaussian(v));
+    }
+    block_skip.push_back(gaussian(v));
+  }
+  std::vector<nn::ReLU> relus(norms.size());
+  std::vector<nn::UpsampleNearest3d> ups(std::size(kUpsampleIn));
+  std::vector<nn::Tensor> up_in, up_out, up_go;
+  for (std::size_t i = 0; i < ups.size(); ++i) {
+    const Volume& o = kUpsampleOut[i];
+    ups[i].set_target(o.d0, o.d1, o.d2);
+    up_in.push_back(gaussian(kUpsampleIn[i]));
+    up_out.push_back(nn::Tensor(o.shape()));
+    up_go.push_back(gaussian(o));
+  }
+  nn::MaxPool3d pool;
+  std::vector<nn::Tensor> pool_in, pool_out;
+  for (const Volume& v : kPoolIn) {
+    pool_in.push_back(gaussian(v));
+    pool_out.push_back(nn::Tensor({v.c, nn::MaxPool3d::out_dim(v.d0),
+                                   nn::MaxPool3d::out_dim(v.d1), nn::MaxPool3d::out_dim(v.d2)}));
+  }
+  std::vector<nn::Conv3d> convs;
+  std::vector<nn::Tensor> conv_in, conv_out;
+  for (const Pointwise& pw : kPointwise) {
+    convs.emplace_back(pw.in.c, pw.oc, 1, rng);
+    conv_in.push_back(gaussian(pw.in));
+    conv_out.push_back(nn::Tensor({pw.oc, pw.in.d0, pw.in.d1, pw.in.d2}));
+  }
+  nn::InferenceScratch arena;
+
+  const auto volume = [](std::size_t norm) { return kBlockVolumes[norm / 2]; };
+  std::vector<std::pair<const char*, std::function<void()>>> kinds = {
+      {"eval_gn_relu",
+       [&] {
+         for (std::size_t i = 0; i < norms.size(); i += 2) {
+           norms[i].infer_relu_inplace(block_x[i].data(), volume(i).spatial());
+         }
+       }},
+      {"eval_gn_add_relu",
+       [&] {
+         for (std::size_t i = 1; i < norms.size(); i += 2) {
+           norms[i].infer_add_relu_inplace(block_x[i].data(), block_skip[i / 2].data(),
+                                           volume(i).spatial());
+         }
+       }},
+      {"eval_upsample",
+       [&] {
+         for (std::size_t i = 0; i < ups.size(); ++i) {
+           const Volume& v = kUpsampleIn[i];
+           ups[i].infer_into(up_in[i].data(), v.c, v.d0, v.d1, v.d2, up_out[i].data());
+         }
+       }},
+      {"eval_max_pool",
+       [&] {
+         for (std::size_t i = 0; i < pool_in.size(); ++i) {
+           const Volume& v = kPoolIn[i];
+           pool.infer_into(pool_in[i].data(), v.c, v.d0, v.d1, v.d2, pool_out[i].data());
+         }
+       }},
+      {"eval_pointwise_conv",
+       [&] {
+         for (std::size_t i = 0; i < convs.size(); ++i) {
+           const Volume& v = kPointwise[i].in;
+           convs[i].infer_into(conv_in[i].data(), v.d0, v.d1, v.d2, arena, conv_out[i].data());
+         }
+       }},
+      {"train_gn_fwd",
+       [&] {
+         for (std::size_t i = 0; i < norms.size(); ++i) (void)norms[i].forward(block_x[i]);
+       }},
+      {"train_gn_bwd",
+       [&] {
+         for (std::size_t i = 0; i < norms.size(); ++i) (void)norms[i].backward(block_go[i]);
+       }},
+      {"train_relu_fwd",
+       [&] {
+         for (std::size_t i = 0; i < relus.size(); ++i) (void)relus[i].forward(block_x[i]);
+       }},
+      {"train_relu_bwd",
+       [&] {
+         for (std::size_t i = 0; i < relus.size(); ++i) (void)relus[i].backward(block_go[i]);
+       }},
+      {"train_upsample_bwd",
+       [&] {
+         for (std::size_t i = 0; i < ups.size(); ++i) (void)ups[i].backward(up_go[i]);
+       }},
+  };
+  for (nn::GroupNorm& gn : norms) gn.set_training(false);
+  for (std::size_t i = 0; i < ups.size(); ++i) {
+    ups[i].set_training(true);
+    (void)ups[i].forward(up_in[i]);  // retains the input shape for backward
+  }
+  std::vector<std::vector<double>> samples(kinds.size());
+  for (int round = -1; round < rounds; ++round) {  // round -1 warms up
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      const bool training = std::strncmp(kinds[k].first, "train", 5) == 0;
+      for (nn::GroupNorm& gn : norms) gn.set_training(training);
+      util::Timer timer;
+      kinds[k].second();
+      if (round >= 0) samples[k].push_back(timer.seconds() * 1e6);
+    }
+  }
+  std::vector<LayerTime> out;
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    std::sort(samples[k].begin(), samples[k].end());
+    out.push_back({kinds[k].first, samples[k][samples[k].size() / 2]});
+  }
+  return out;
 }
 
 struct SweepPoint {
@@ -410,6 +571,19 @@ int main(int argc, char** argv) {
               "samples/s (one thread)\n",
               train_small, train_large);
 
+  const std::vector<LayerTime> layers = bench_layers(smoke ? 3 : 31);
+  std::printf("  non-conv layers at 32x32x8, one pass of the default net (us, "
+              "median of %d rounds):\n   ", smoke ? 3 : 31);
+  std::string layers_json;
+  for (const LayerTime& l : layers) {
+    std::printf(" %s %.1f", l.name, l.us);
+    char row[96];
+    std::snprintf(row, sizeof(row), "%s\"%s\": %.1f", layers_json.empty() ? "" : ", ",
+                  l.name, l.us);
+    layers_json += row;
+  }
+  std::printf("\n");
+
   const std::vector<SweepPoint> sweep =
       bench_sweep(smoke ? std::vector<std::int32_t>{12}
                         : std::vector<std::int32_t>{12, 16, 24, 32},
@@ -473,6 +647,7 @@ int main(int argc, char** argv) {
         "  \"comb_mcts\": {\"h\": 16, \"v\": 16, \"m\": 4,\n"
         "    \"training_mode_eps\": %.3f, \"engine_eps\": %.3f, \"speedup\": %.3f},\n"
         "  \"train_fwd_bwd_samples_per_s\": {\"16x16x4\": %.1f, \"32x32x8\": %.1f},\n"
+        "  \"layers_us_32x32x8\": {%s},\n"
         "  \"sweep\": [%s\n  ],\n"
         "  \"sweep_gate\": {\"bound\": %.2f, \"worst_fp32_ratio\": %.3f, "
         "\"passed\": %s},\n"
@@ -483,7 +658,7 @@ int main(int argc, char** argv) {
         small.ref_ips, small.engine_ips, small.speedup, small.max_rel,
         large.ref_ips, large.engine_ips, large.speedup, large.max_rel,
         mcts_rep.ref_eps, mcts_rep.engine_eps, mcts_rep.speedup, train_small,
-        train_large, sweep_json.c_str(), kSweepBound, worst_ratio,
+        train_large, layers_json.c_str(), sweep_json.c_str(), kSweepBound, worst_ratio,
         sweep_passed ? "true" : "false", obs_tax.overhead,
         bench::machine_json().c_str(),
         smoke ? "true" : "false");
