@@ -4,6 +4,19 @@
 
 namespace oar::nn {
 
+void relu_into(const float* x, std::int64_t n, std::uint8_t* mask, float* y) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const bool pos = v > 0.0f;
+    mask[i] = pos;
+    y[i] = pos ? v : 0.0f;
+  }
+}
+
+void relu_mask_inplace(const std::uint8_t* mask, std::int64_t n, float* g) {
+  for (std::int64_t i = 0; i < n; ++i) g[i] = mask[i] ? g[i] : 0.0f;
+}
+
 float Sigmoid::apply(float x) {
   if (x >= 0.0f) {
     const float z = std::exp(-x);

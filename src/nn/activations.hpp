@@ -6,27 +6,26 @@
 
 namespace oar::nn {
 
+/// y[i] = x[i] > 0 ? x[i] : 0 (NaN maps to 0) and mask[i] = x[i] > 0.  A
+/// select, not a conditional store, so the loop vectorizes without
+/// branches.  y may equal x.
+void relu_into(const float* x, std::int64_t n, std::uint8_t* mask, float* y);
+/// g[i] = mask[i] ? g[i] : 0 in place — the ReLU backward, as a select.
+void relu_mask_inplace(const std::uint8_t* mask, std::int64_t n, float* g);
+
 class ReLU : public Module {
  public:
   Tensor forward(const Tensor& input) override {
-    mask_.assign(std::size_t(input.numel()), 0);
-    Tensor out = input;
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-      if (out[i] > 0.0f) {
-        mask_[std::size_t(i)] = 1;
-      } else {
-        out[i] = 0.0f;
-      }
-    }
+    mask_.resize(std::size_t(input.numel()));
+    Tensor out(input.shape());
+    relu_into(input.data(), input.numel(), mask_.data(), out.data());
     return out;
   }
 
   Tensor backward(const Tensor& grad_output) override {
     assert(std::size_t(grad_output.numel()) == mask_.size());
     Tensor grad = grad_output;
-    for (std::int64_t i = 0; i < grad.numel(); ++i) {
-      if (!mask_[std::size_t(i)]) grad[i] = 0.0f;
-    }
+    relu_mask_inplace(mask_.data(), grad.numel(), grad.data());
     return grad;
   }
 

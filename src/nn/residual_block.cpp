@@ -52,14 +52,8 @@ Tensor ResidualBlock3d::forward(const Tensor& input) {
   assert(main.shape() == skip.shape());
   main += skip;
   // Final ReLU (mask cached for backward).
-  out_mask_.assign(std::size_t(main.numel()), 0);
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] > 0.0f) {
-      out_mask_[std::size_t(i)] = 1;
-    } else {
-      main[i] = 0.0f;
-    }
-  }
+  out_mask_.resize(std::size_t(main.numel()));
+  relu_into(main.data(), main.numel(), out_mask_.data(), main.data());
   return main;
 }
 
@@ -90,9 +84,7 @@ const Tensor& ResidualBlock3d::infer(const Tensor& input,
 Tensor ResidualBlock3d::backward(const Tensor& grad_output) {
   assert(training());  // inference-mode forward retains nothing
   Tensor grad = grad_output;
-  for (std::int64_t i = 0; i < grad.numel(); ++i) {
-    if (!out_mask_[std::size_t(i)]) grad[i] = 0.0f;
-  }
+  relu_mask_inplace(out_mask_.data(), grad.numel(), grad.data());
   // Branch gradients: both the main path and the skip see `grad`.
   Tensor grad_main = conv1_.backward(
       norm1_.backward(relu1_.backward(conv2_.backward(norm2_.backward(grad)))));

@@ -1,13 +1,16 @@
 // Finite-difference gradient verification of every hand-written backward
-// pass, shape/semantics checks per layer, and the Conv3d kernels against a
-// scalar reference implementation.
+// pass, shape/semantics checks per layer, the Conv3d kernels against a
+// scalar reference implementation, and GroupNorm and the upsample bitwise
+// against one-group-at-a-time and division-formula references.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <memory>
 
 #include "nn/activations.hpp"
 #include "nn/conv3d.hpp"
@@ -30,6 +33,21 @@ Tensor random_input(std::vector<std::int32_t> shape, std::uint64_t seed) {
 Tensor random_weights_like(const Tensor& out, std::uint64_t seed) {
   util::Rng rng(seed);
   return Tensor::randn(out.shape(), rng, 1.0f);
+}
+
+/// Element-wise bit equality (so -0 vs +0 and NaN payloads count).
+void expect_same_bits(const float* got, const float* want, std::int64_t n,
+                      const char* what) {
+  std::int64_t mismatches = 0, first = -1;
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) != std::bit_cast<std::uint32_t>(want[i])) {
+      if (first < 0) first = i;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << what << ": first at " << first << " (got "
+                           << (first < 0 ? 0.0f : got[first]) << ", want "
+                           << (first < 0 ? 0.0f : want[first]) << ")";
 }
 
 template <typename M>
@@ -56,6 +74,19 @@ TEST(ReLULayer, BackwardMasks) {
   const Tensor grad = relu.backward(Tensor::from({5, 5}));
   EXPECT_FLOAT_EQ(grad[0], 0.0f);
   EXPECT_FLOAT_EQ(grad[1], 5.0f);
+}
+
+TEST(ReLULayer, SelectKeepsBranchSemantics) {
+  // -0 and NaN are not > 0, so they map to +0 with a cleared mask.
+  ReLU relu;
+  const Tensor input = Tensor::from({-1.0f, -0.0f, 0.0f,
+                                     std::numeric_limits<float>::quiet_NaN(), 2.5f});
+  const Tensor out = relu.forward(input);
+  const float want[] = {0.0f, 0.0f, 0.0f, 0.0f, 2.5f};
+  expect_same_bits(out.data(), want, 5, "forward");
+  const Tensor grad = relu.backward(Tensor::from({1.0f, 2.0f, 3.0f, 4.0f, 5.0f}));
+  const float want_grad[] = {0.0f, 0.0f, 0.0f, 0.0f, 5.0f};
+  expect_same_bits(grad.data(), want_grad, 5, "backward");
 }
 
 TEST(SigmoidLayer, ForwardValues) {
@@ -387,6 +418,159 @@ INSTANTIATE_TEST_SUITE_P(Configs, GroupNormGradTest,
                          ::testing::Values(std::pair{2, 1}, std::pair{4, 2},
                                            std::pair{4, 4}, std::pair{6, 3}));
 
+/// GroupNorm computed one group at a time, each group's statistics one
+/// serial double chain: the reference the vectorized layer must match bit
+/// for bit, in inference and in training.
+struct GroupNormReference {
+  const GroupNorm& gn;
+  std::int64_t spatial;
+
+  std::int32_t cpg() const { return gn.num_channels() / gn.num_groups(); }
+
+  void stats(const float* x, std::int32_t g, float* mu, float* inv) const {
+    const std::int64_t size = cpg() * spatial;
+    double sum = 0.0, sum_sq = 0.0;
+    for (std::int64_t i = 0; i < size; ++i) {
+      const double v = x[g * size + i];
+      sum += v;
+      sum_sq += v * v;
+    }
+    const double m = sum / double(size);
+    const double var = std::max(0.0, sum_sq / double(size) - m * m);
+    *mu = float(m);
+    *inv = float(1.0 / std::sqrt(var + gn.eps()));
+  }
+
+  /// y = gn(x), then + skip (when given) and ReLU (when asked); also the
+  /// normalized values the training forward keeps.
+  void forward(const float* x, const float* skip, bool relu, float* y, float* nrm,
+               std::vector<float>* inv_sigma) const {
+    for (std::int32_t g = 0; g < gn.num_groups(); ++g) {
+      float mu, inv;
+      stats(x, g, &mu, &inv);
+      if (inv_sigma) inv_sigma->push_back(inv);
+      for (std::int32_t c = 0; c < cpg(); ++c) {
+        const std::int32_t chan = g * cpg() + c;
+        const float gam = gn.gamma().value[chan];
+        const float bet = gn.beta().value[chan];
+        for (std::int64_t i = chan * spatial; i < (chan + 1) * spatial; ++i) {
+          const float n = (x[i] - mu) * inv;
+          if (nrm) nrm[i] = n;
+          float v = gam * n + bet;
+          if (skip) v += skip[i];
+          y[i] = relu && !(v > 0.0f) ? 0.0f : v;
+        }
+      }
+    }
+  }
+
+  void backward(const float* go, const float* nrm, const std::vector<float>& inv_sigma,
+                float* gi, float* ggam, float* gbet) const {
+    const double inv_n = 1.0 / double(cpg() * spatial);
+    for (std::int32_t g = 0; g < gn.num_groups(); ++g) {
+      double sum_gy = 0.0, sum_gy_n = 0.0;
+      for (std::int32_t c = 0; c < cpg(); ++c) {
+        const std::int32_t chan = g * cpg() + c;
+        const float gam = gn.gamma().value[chan];
+        double gg = 0.0, gb = 0.0;
+        for (std::int64_t i = chan * spatial; i < (chan + 1) * spatial; ++i) {
+          gg += double(go[i]) * nrm[i];
+          gb += go[i];
+          sum_gy += double(gam) * go[i];
+          sum_gy_n += double(gam) * go[i] * nrm[i];
+        }
+        ggam[chan] += float(gg);
+        gbet[chan] += float(gb);
+      }
+      for (std::int32_t c = 0; c < cpg(); ++c) {
+        const std::int32_t chan = g * cpg() + c;
+        const float gam = gn.gamma().value[chan];
+        for (std::int64_t i = chan * spatial; i < (chan + 1) * spatial; ++i) {
+          const double gy = double(gam) * go[i];
+          const double nv = nrm[i];
+          gi[i] = float(inv_sigma[std::size_t(g)] *
+                        (gy - inv_n * sum_gy - nv * inv_n * sum_gy_n));
+        }
+      }
+    }
+  }
+};
+
+// {channels, groups}: the U-Net's channel counts at base 5 and 8 with
+// their ResidualBlock3d::pick_groups groups (1, 2 and 4), plus group
+// counts that split into several lockstep blocks (3, 6 and 8).
+class GroupNormOracle
+    : public ::testing::TestWithParam<std::pair<std::int32_t, std::int32_t>> {
+ protected:
+  void SetUp() override {
+    const auto [channels, groups] = GetParam();
+    gn_ = std::make_unique<GroupNorm>(channels, groups);
+    util::Rng rng(std::uint64_t(channels) * 100 + std::uint64_t(groups));
+    for (std::int32_t c = 0; c < channels; ++c) {
+      gn_->parameters()[0]->value[c] = float(rng.normal(1.0, 0.5));
+      gn_->parameters()[1]->value[c] = float(rng.normal(0.0, 0.3));
+    }
+    // Off-centre input, so the mean matters to every normalized value.
+    input_ = random_input({channels, 7, 5, 3}, 700 + std::uint64_t(channels));
+    for (std::int64_t i = 0; i < input_.numel(); ++i) input_[i] = 0.5f + 2.0f * input_[i];
+    skip_ = random_input(input_.shape(), 800 + std::uint64_t(channels));
+  }
+
+  std::unique_ptr<GroupNorm> gn_;
+  Tensor input_, skip_;
+};
+
+TEST_P(GroupNormOracle, InferenceMatchesOneGroupAtATime) {
+  const std::int64_t spatial = input_.numel() / gn_->num_channels();
+  const GroupNormReference ref{*gn_, spatial};
+  Tensor want(input_.shape());
+
+  Tensor got(input_.shape());
+  gn_->infer_into(input_.data(), spatial, got.data());
+  ref.forward(input_.data(), nullptr, false, want.data(), nullptr, nullptr);
+  expect_same_bits(got.data(), want.data(), got.numel(), "infer_into");
+
+  got = input_;
+  gn_->infer_relu_inplace(got.data(), spatial);
+  ref.forward(input_.data(), nullptr, true, want.data(), nullptr, nullptr);
+  expect_same_bits(got.data(), want.data(), got.numel(), "infer_relu_inplace");
+
+  got = input_;
+  gn_->infer_add_relu_inplace(got.data(), skip_.data(), spatial);
+  ref.forward(input_.data(), skip_.data(), true, want.data(), nullptr, nullptr);
+  expect_same_bits(got.data(), want.data(), got.numel(), "infer_add_relu_inplace");
+}
+
+TEST_P(GroupNormOracle, TrainingMatchesOneGroupAtATime) {
+  const std::int64_t spatial = input_.numel() / gn_->num_channels();
+  const GroupNormReference ref{*gn_, spatial};
+  gn_->set_training(true);
+  gn_->zero_grad();
+  const Tensor out = gn_->forward(input_);
+  const Tensor grad_out = random_input(input_.shape(), 900);
+  const Tensor grad_in = gn_->backward(grad_out);
+
+  Tensor want(input_.shape()), nrm(input_.shape()), want_gi(input_.shape());
+  std::vector<float> inv_sigma;
+  ref.forward(input_.data(), nullptr, false, want.data(), nrm.data(), &inv_sigma);
+  Tensor want_ggam({gn_->num_channels()}), want_gbet({gn_->num_channels()});
+  ref.backward(grad_out.data(), nrm.data(), inv_sigma, want_gi.data(), want_ggam.data(),
+               want_gbet.data());
+  expect_same_bits(out.data(), want.data(), out.numel(), "forward");
+  expect_same_bits(grad_in.data(), want_gi.data(), grad_in.numel(), "input gradient");
+  expect_same_bits(gn_->gamma().grad.data(), want_ggam.data(), want_ggam.numel(),
+                   "gamma gradient");
+  expect_same_bits(gn_->beta().grad.data(), want_gbet.data(), want_gbet.numel(),
+                   "beta gradient");
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, GroupNormOracle,
+                         ::testing::Values(std::pair{5, 1}, std::pair{8, 4},
+                                           std::pair{10, 2}, std::pair{16, 4},
+                                           std::pair{20, 4}, std::pair{32, 4},
+                                           std::pair{9, 3}, std::pair{6, 6},
+                                           std::pair{32, 8}));
+
 TEST(MaxPoolLayer, CeilModeOddDims) {
   MaxPool3d pool;
   const Tensor out = pool.forward(random_input({2, 5, 3, 1}, 31));
@@ -438,6 +622,57 @@ TEST(UpsampleLayer, InverseOfPoolShapes) {
       const Tensor restored = up.forward(pooled);
       EXPECT_EQ(restored.shape(), input.shape());
     }
+  }
+}
+
+/// Nearest source index by the division formula the upsample is defined by.
+std::int32_t nearest_source(std::int32_t o, std::int32_t d, std::int32_t t) {
+  return std::min(d - 1, std::int32_t(std::int64_t(o) * d / t));
+}
+
+// Source extent -> target extent per axis: 1->4, 3->5, 5->9, and 2->300,
+// which is longer than any stack index table.
+struct UpsampleCase {
+  std::int32_t c, d0, d1, d2, t0, t1, t2;
+};
+constexpr UpsampleCase kUpsampleCases[] = {
+    {2, 1, 3, 5, 4, 5, 9}, {3, 5, 1, 3, 9, 4, 5}, {2, 3, 5, 1, 5, 9, 4},
+    {1, 2, 3, 2, 300, 5, 300}, {2, 1, 2, 5, 4, 300, 9}};
+
+TEST(UpsampleOracle, ForwardAndBackwardMatchDivisionFormula) {
+  for (const UpsampleCase& k : kUpsampleCases) {
+    SCOPED_TRACE(::testing::Message() << k.d0 << "x" << k.d1 << "x" << k.d2 << " -> "
+                                      << k.t0 << "x" << k.t1 << "x" << k.t2);
+    UpsampleNearest3d up;
+    up.set_target(k.t0, k.t1, k.t2);
+    up.set_training(true);
+    const Tensor input = random_input({k.c, k.d0, k.d1, k.d2}, 1000 + k.t0);
+    const Tensor out = up.forward(input);
+    const Tensor grad_out = random_input(out.shape(), 1100 + k.t1);
+    const Tensor grad_in = up.backward(grad_out);
+
+    Tensor want(out.shape()), want_gi(input.shape());
+    std::int64_t oi = 0;
+    for (std::int32_t c = 0; c < k.c; ++c) {
+      for (std::int32_t o0 = 0; o0 < k.t0; ++o0) {
+        for (std::int32_t o1 = 0; o1 < k.t1; ++o1) {
+          for (std::int32_t o2 = 0; o2 < k.t2; ++o2, ++oi) {
+            const std::int64_t src =
+                ((std::int64_t(c) * k.d0 + nearest_source(o0, k.d0, k.t0)) * k.d1 +
+                 nearest_source(o1, k.d1, k.t1)) * k.d2 +
+                nearest_source(o2, k.d2, k.t2);
+            want[oi] = input[src];
+            want_gi[src] += grad_out[oi];
+          }
+        }
+      }
+    }
+    expect_same_bits(out.data(), want.data(), out.numel(), "forward");
+    expect_same_bits(grad_in.data(), want_gi.data(), grad_in.numel(), "backward");
+
+    Tensor eval_out(out.shape());
+    up.infer_into(input.data(), k.c, k.d0, k.d1, k.d2, eval_out.data());
+    expect_same_bits(eval_out.data(), want.data(), eval_out.numel(), "infer_into");
   }
 }
 
