@@ -102,25 +102,25 @@ void HananGrid::set_edge_cost_bias(Vertex idx, Dir dir, double bias) {
   revision_ = next_revision();
 }
 
-bool HananGrid::set_edge_cost_biases(std::vector<double> bias) {
+bool HananGrid::set_edge_cost_biases(const std::vector<double>& bias) {
   assert(bias.empty() || bias.size() == std::size_t(num_vertices()) * 3);
   if (bias == edge_bias_) return false;
   // An all-zero overlay is the same cost function as no overlay at all;
   // normalize to empty so the unbiased fast paths stay in effect.
-  if (!bias.empty() &&
-      std::all_of(bias.begin(), bias.end(), [](double b) { return b == 0.0; })) {
+  if (std::all_of(bias.begin(), bias.end(), [](double b) { return b == 0.0; })) {
     if (edge_bias_.empty()) return false;
-    bias.clear();
+    edge_bias_.clear();  // keeps the storage for the next overlay
+  } else {
+    edge_bias_.assign(bias.begin(), bias.end());
   }
-  edge_bias_ = std::move(bias);
   revision_ = next_revision();
   return true;
 }
 
 void HananGrid::clear_edge_cost_biases() {
-  if (edge_bias_.empty()) return;
-  edge_bias_.clear();
-  revision_ = next_revision();
+  const bool had_bias = !edge_bias_.empty();
+  std::vector<double>().swap(edge_bias_);  // releases the 24 B/vertex buffer
+  if (had_bias) revision_ = next_revision();
 }
 
 double HananGrid::edge_cost(Vertex idx, Dir dir) const {

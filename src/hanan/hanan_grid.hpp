@@ -108,11 +108,14 @@ class HananGrid {
                : edge_bias_[std::size_t(idx) * 3 + std::size_t(dir)];
   }
   void set_edge_cost_bias(Vertex idx, Dir dir, double bias);
-  /// Bulk overlay swap: `bias` is either empty (no overlay) or one value
-  /// per (vertex, dir) slot, laid out idx*3 + dir.  Returns true when the
-  /// overlay actually changed (and revision() was bumped); re-applying an
-  /// identical overlay is free and keeps downstream caches warm.
-  bool set_edge_cost_biases(std::vector<double> bias);
+  /// Bulk overlay update: `bias` is either empty (no overlay) or one value
+  /// per (vertex, dir) slot, laid out idx*3 + dir, copied into the
+  /// overlay's existing storage.  Returns true when the overlay actually
+  /// changed (and revision() was bumped); re-applying an identical overlay
+  /// is free and keeps downstream caches warm.
+  bool set_edge_cost_biases(const std::vector<double>& bias);
+  /// Drops the overlay and releases its storage (a routed chip's grid
+  /// keeps no overlay buffer).
   void clear_edge_cost_biases();
 
   /// Cost of the edge between two adjacent vertices *excluding* any bias
