@@ -44,7 +44,6 @@ class GroupNorm : public Module {
   float eps_;
   Parameter gamma_;  // (C)
   Parameter beta_;   // (C)
-  Tensor input_;
   Tensor normalized_;             // (x - mu) / sigma, cached for backward
   std::vector<float> inv_sigma_;  // per group
 };
