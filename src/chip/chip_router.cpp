@@ -117,6 +117,9 @@ ChipResult ChipRouter::route(const Netlist& netlist, steiner::Router& engine) {
   // fails to connect once can never connect and is not retried.
   std::vector<char> unroutable(n, 0);
   std::vector<std::int32_t> reroutes(n, 0);
+  // One engine memo per net, alive for this call only: the topology and
+  // each net's pins are fixed here, only the overlay changes.
+  std::vector<steiner::NetMemo> memos(n);
   std::int64_t engine_calls = 0;
 
   ChipResult result;
@@ -147,7 +150,7 @@ ChipResult ChipRouter::route(const Netlist& netlist, steiner::Router& engine) {
       for (const Vertex p : net.pins) grid->add_pin(p);
 
       util::Timer net_timer;
-      route::OarmstResult routed = engine.route(*grid);
+      route::OarmstResult routed = engine.route(*grid, memos[idx]);
       ob.net_seconds.observe(net_timer.seconds());
       ob.nets_routed.inc();
       ++engine_calls;

@@ -15,11 +15,16 @@
 //
 // The single-net engine is pluggable (any steiner::Router — the baselines
 // or the RL router); the engine sees the shared grid with exactly the
-// active net's pins and the current overlay.  Every overlay write bumps
-// HananGrid::revision(), which is the contract that keeps MazeRouter's CSR
-// adjacency cache and the RL feature cache coherent across rip-ups: a
-// reroute under unchanged congestion re-uses the cached adjacency, a
-// changed overlay rebuilds it (DESIGN.md §10/§14).
+// active net's pins and the current overlay.  Every overlay write and
+// every pin change bumps HananGrid::revision(), which keeps MazeRouter's
+// CSR adjacency cache and the RL feature cache coherent across rip-ups.
+// Each net route swaps the grid's pins, so every route rebuilds both.
+//
+// Each route() call keeps one steiner::NetMemo per net and passes it on
+// every route of that net, so the RL engine runs its selector once per
+// net per call and a reroute only rebuilds the tree on the new overlay.
+// A memo holds only what depends on the topology and the net's pins,
+// never on the overlay, and dies with the call (DESIGN.md §10/§14).
 
 #include <memory>
 #include <string>

@@ -11,14 +11,22 @@ RlRouter::RlRouter(std::shared_ptr<rl::SteinerSelector> selector,
     : selector_(std::move(selector)), config_(config) {}
 
 route::OarmstResult RlRouter::route(const HananGrid& grid) {
-  util::Timer total;
-  const std::int32_t budget =
-      std::max<std::int32_t>(0, std::int32_t(grid.pins().size()) - 2);
+  steiner::NetMemo memo;
+  return route(grid, memo);
+}
 
+route::OarmstResult RlRouter::route(const HananGrid& grid,
+                                    steiner::NetMemo& memo) {
+  util::Timer total;
   util::Timer select;
-  // One network inference produces all Steiner points (paper Fig. 2),
-  // ordered by descending probability.
-  const std::vector<Vertex> steiner = selector_->select_steiner_points(grid, budget);
+  if (!memo.steiner_points) {
+    // One network inference produces all Steiner points (paper Fig. 2),
+    // ordered by descending probability.
+    const std::int32_t budget =
+        std::max<std::int32_t>(0, std::int32_t(grid.pins().size()) - 2);
+    memo.steiner_points = selector_->select_steiner_points(grid, budget);
+  }
+  const std::vector<Vertex>& steiner = *memo.steiner_points;
   timing_.select_seconds = select.seconds();
 
   route::OarmstRouter router(grid);  // redundant-point removal on

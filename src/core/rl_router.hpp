@@ -9,6 +9,9 @@
 //   3. run the OARMST router over pins + Steiner points (redundant-point
 //      removal + rebuild) to produce the final tree.
 //
+// route(grid, memo) keeps steps 1-2's Steiner points in the memo, so a net
+// rerouted under another congestion overlay runs step 3 alone.
+//
 // Timing of step 1 vs the total is recorded separately, matching the two
 // runtime columns of the paper's Table 3.
 
@@ -23,7 +26,8 @@ using hanan::HananGrid;
 using hanan::Vertex;
 
 struct RlRouterTiming {
-  double select_seconds = 0.0;  // Steiner-point selection (one inference)
+  double select_seconds = 0.0;  // Steiner-point selection (one inference;
+                                // 0 when a memo supplied the points)
   double total_seconds = 0.0;   // selection + OARMST construction
 };
 
@@ -51,6 +55,8 @@ class RlRouter : public steiner::Router {
     return config_.prefix_sweep ? "rl-ours+sweep" : "rl-ours";
   }
   route::OarmstResult route(const HananGrid& grid) override;
+  route::OarmstResult route(const HananGrid& grid,
+                            steiner::NetMemo& memo) override;
 
   /// Timing of the most recent route() call.
   const RlRouterTiming& last_timing() const { return timing_; }

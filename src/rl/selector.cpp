@@ -101,6 +101,7 @@ std::vector<Vertex> SteinerSelector::top_k_valid(const HananGrid& grid,
 
 std::vector<Vertex> SteinerSelector::select_steiner_points(
     const HananGrid& grid, std::int32_t k, const std::vector<Vertex>& extra_pins) {
+  if (k <= 0) return {};  // nothing to select: skip the inference
   const std::vector<double> fsp = infer_fsp(grid, extra_pins);
   return top_k_valid(grid, fsp, k, extra_pins);
 }

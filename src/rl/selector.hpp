@@ -66,7 +66,7 @@ class SteinerSelector {
 
   /// Select the `k` valid vertices with the highest fsp (valid: not a pin,
   /// not blocked, not in `extra_pins`).  This is the paper's top-(n-2)
-  /// selection (Fig. 2).
+  /// selection (Fig. 2).  k <= 0 returns {} without an inference.
   std::vector<Vertex> select_steiner_points(const HananGrid& grid, std::int32_t k,
                                             const std::vector<Vertex>& extra_pins = {});
 

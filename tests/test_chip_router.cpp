@@ -5,11 +5,13 @@
 #include <stdexcept>
 
 #include "chip/congestion.hpp"
+#include "core/rl_router.hpp"
 #include "core/router.hpp"
 #include "gen/random_layout.hpp"
 #include "gen/random_netlist.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "rl/selector.hpp"
 #include "steiner/lin08.hpp"
 
 namespace oar::chip {
@@ -164,6 +166,121 @@ TEST(ChipRouter, RandomChipConvergesAndValidates) {
   expect_consistent(result, netlist);
   EXPECT_GT(result.wirelength, 0.0);
   EXPECT_GE(result.iterations_run, 1);
+}
+
+// --- the RL engine's per-net Steiner-point memo ----------------------------
+
+rl::SelectorConfig small_selector_config(std::uint64_t seed) {
+  rl::SelectorConfig cfg;
+  cfg.unet.base_channels = 4;
+  cfg.unet.depth = 1;
+  cfg.unet.seed = seed;
+  return cfg;
+}
+
+/// A 16x16x4 chip at the oarbench chip density (dim * dim * m / 10
+/// obstacles) with 10 nets of 2-5 pins.
+struct MemoChip {
+  HananGrid grid;
+  Netlist netlist;
+};
+
+MemoChip memo_chip(std::uint64_t seed) {
+  util::Rng rng(seed);
+  gen::RandomGridSpec spec;
+  spec.h = spec.v = 16;
+  spec.m = 4;
+  spec.min_obstacles = spec.max_obstacles = 16 * 16 * 4 / 10;
+  MemoChip c{gen::random_grid(spec, rng), {}};
+  c.grid.clear_pins();
+  gen::RandomNetlistSpec ns;
+  ns.min_pins = 2;
+  ns.max_pins = 5;
+  c.netlist = gen::random_netlist(c.grid, 10, rng, ns);
+  return c;
+}
+
+std::int32_t total_reroutes(const ChipResult& r) {
+  std::int32_t n = 0;
+  for (const NetRoute& net : r.nets) n += net.reroutes;
+  return n;
+}
+
+bool same_trees(const ChipResult& a, const ChipResult& b) {
+  if (a.nets.size() != b.nets.size()) return false;
+  for (std::size_t i = 0; i < a.nets.size(); ++i) {
+    if (a.nets[i].tree.edges() != b.nets[i].tree.edges()) return false;
+  }
+  return true;
+}
+
+TEST(ChipRlMemo, OneSelectorForwardPerNetWithThreeOrMorePins) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  obs::Counter& fp32 =
+      obs::MetricsRegistry::instance().counter("oar_nn_quant_fp32_forwards_total");
+  auto selector =
+      std::make_shared<rl::SteinerSelector>(small_selector_config(33));
+  core::RlRouter engine(selector);
+  for (const std::uint64_t seed : {4u, 7u}) {
+    const MemoChip c = memo_chip(seed);
+    std::uint64_t multi_pin = 0;
+    for (const Net& net : c.netlist.nets) multi_pin += net.pins.size() >= 3;
+    ASSERT_GT(multi_pin, 0u);
+
+    const std::uint64_t before = fp32.value();
+    const ChipResult result = ChipRouter(c.grid).route(c.netlist, engine);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_TRUE(result.success);
+    // Reroutes happened, yet none of them ran the network again.
+    EXPECT_GT(total_reroutes(result), 0);
+    EXPECT_EQ(fp32.value() - before, multi_pin);
+  }
+}
+
+TEST(ChipRlMemo, ZeroBudgetSelectionRunsNoForward) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  obs::Counter& fp32 =
+      obs::MetricsRegistry::instance().counter("oar_nn_quant_fp32_forwards_total");
+  rl::SteinerSelector selector(small_selector_config(33));
+  const HananGrid grid = memo_chip(4).grid;
+
+  std::uint64_t before = fp32.value();
+  EXPECT_TRUE(selector.select_steiner_points(grid, 0).empty());
+  EXPECT_TRUE(selector.select_steiner_points(grid, -3).empty());
+  EXPECT_EQ(fp32.value() - before, 0u);
+
+  before = fp32.value();
+  EXPECT_EQ(selector.select_steiner_points(grid, 2).size(), 2u);
+  EXPECT_EQ(fp32.value() - before, 1u);
+}
+
+TEST(ChipRlMemo, NoMemoOutlivesItsRouteCall) {
+  // Route with weights A, load weights B into the same selector, route
+  // again: the second call must match a router that only ever saw B, so
+  // it ran its own inference instead of reusing the first call's points.
+  const MemoChip c = memo_chip(4);
+  rl::SteinerSelector weights_b(small_selector_config(1234));
+  auto selector =
+      std::make_shared<rl::SteinerSelector>(small_selector_config(33));
+  core::RlRouter engine(selector);
+  ChipRouter chip_router(c.grid);
+
+  const ChipResult with_a = chip_router.route(c.netlist, engine);
+  selector->copy_weights_from(weights_b);
+  const ChipResult after_copy = chip_router.route(c.netlist, engine);
+
+  core::RlRouter fresh_b(
+      std::make_shared<rl::SteinerSelector>(small_selector_config(1234)));
+  const ChipResult only_b = ChipRouter(c.grid).route(c.netlist, fresh_b);
+
+  ASSERT_TRUE(with_a.success);
+  ASSERT_TRUE(only_b.success);
+  // The two weight sets route this chip differently, so the check below
+  // can tell a stale memo from a fresh one.
+  ASSERT_FALSE(same_trees(with_a, only_b));
+  EXPECT_TRUE(same_trees(after_copy, only_b));
+  EXPECT_EQ(after_copy.wirelength, only_b.wirelength);
+  EXPECT_EQ(total_reroutes(after_copy), total_reroutes(only_b));
 }
 
 TEST(ChipOrdering, HpwlAndCustomKeys) {
