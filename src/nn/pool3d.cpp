@@ -32,45 +32,100 @@ class SourceIndex {
 
 }  // namespace
 
+namespace {
+
+// Each output row (c, o0, o1) of the pool folds its up-to-four input rows
+// (z0, z1) in order, and each row folds pairwise along z2, so every
+// window is still folded in (z0, z1, z2) order from -inf: NaN is never
+// adopted and the first of equal maxima wins.  Only the row loops clamp
+// at an odd extent; the z2 loops run over whole pairs, plus one single
+// element when D2 is odd.
+
+/// y[o] = max(y[o], x[2o], x[2o+1]) in that order, with std::max's
+/// keep-the-first rule, for the O2 = ceil(D2 / 2) outputs of one row.
+void max_fold_row(const float* __restrict__ x, std::int32_t D2,
+                  float* __restrict__ y) {
+  const std::int32_t pairs = D2 / 2;
+  for (std::int32_t o = 0; o < pairs; ++o) {
+    y[o] = std::max(std::max(y[o], x[2 * o]), x[2 * o + 1]);
+  }
+  if (D2 & 1) y[pairs] = std::max(y[pairs], x[D2 - 1]);
+}
+
+/// The interior case of max_fold_row: all four rows a, b, c, d of a 2x2
+/// window pair folded into a fresh output row in one pass.
+void max_fold_four_rows(const float* __restrict__ a, const float* __restrict__ b,
+                        const float* __restrict__ c, const float* __restrict__ d,
+                        std::int32_t D2, float* __restrict__ y) {
+  const std::int32_t pairs = D2 / 2;
+  constexpr float kLowest = -std::numeric_limits<float>::infinity();
+  for (std::int32_t o = 0; o < pairs; ++o) {
+    float m = std::max(std::max(kLowest, a[2 * o]), a[2 * o + 1]);
+    m = std::max(std::max(m, b[2 * o]), b[2 * o + 1]);
+    m = std::max(std::max(m, c[2 * o]), c[2 * o + 1]);
+    y[o] = std::max(std::max(m, d[2 * o]), d[2 * o + 1]);
+  }
+  if (D2 & 1) {
+    const std::int32_t z = D2 - 1;
+    y[pairs] = std::max(std::max(std::max(std::max(kLowest, a[z]), b[z]), c[z]), d[z]);
+  }
+}
+
+/// The training fold: as max_fold_row, also moving arg[o] to the flat
+/// index (`base` + position in the row) of each strictly greater element.
+void argmax_fold_row(const float* x, std::int64_t base, std::int32_t D2, float* y,
+                     std::int64_t* arg) {
+  const std::int32_t pairs = D2 / 2;
+  for (std::int32_t o = 0; o < pairs; ++o) {
+    float best = y[o];
+    std::int64_t at = arg[o];
+    const float a = x[2 * o], b = x[2 * o + 1];
+    at = a > best ? base + 2 * o : at;
+    best = a > best ? a : best;
+    at = b > best ? base + 2 * o + 1 : at;
+    best = b > best ? b : best;
+    y[o] = best;
+    arg[o] = at;
+  }
+  if (D2 & 1) {
+    const float a = x[D2 - 1];
+    arg[pairs] = a > y[pairs] ? base + D2 - 1 : arg[pairs];
+    y[pairs] = a > y[pairs] ? a : y[pairs];
+  }
+}
+
+}  // namespace
+
 Tensor MaxPool3d::forward(const Tensor& input) {
   assert(input.dim() == 4);
   const std::int32_t C = input.shape(0), D0 = input.shape(1), D1 = input.shape(2),
                      D2 = input.shape(3);
   const std::int32_t O0 = out_dim(D0), O1 = out_dim(D1), O2 = out_dim(D2);
+  Tensor out({C, O0, O1, O2});
   if (!training()) {
-    Tensor out({C, O0, O1, O2});
     infer_into(input.data(), C, D0, D1, D2, out.data());
     return out;
   }
   in_shape_ = input.shape();
-
-  Tensor out({C, O0, O1, O2});
-  argmax_.assign(std::size_t(out.numel()), 0);
+  argmax_.resize(std::size_t(out.numel()));
 
   const float* x = input.data();
   float* y = out.data();
-  std::int64_t oi = 0;
+  std::int64_t* arg = argmax_.data();
   for (std::int32_t c = 0; c < C; ++c) {
-    const std::int64_t cbase = std::int64_t(c) * D0 * D1 * D2;
     for (std::int32_t o0 = 0; o0 < O0; ++o0) {
-      for (std::int32_t o1 = 0; o1 < O1; ++o1) {
-        for (std::int32_t o2 = 0; o2 < O2; ++o2, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = -1;
-          for (std::int32_t z0 = o0 * 2; z0 < std::min(D0, o0 * 2 + 2); ++z0) {
-            for (std::int32_t z1 = o1 * 2; z1 < std::min(D1, o1 * 2 + 2); ++z1) {
-              for (std::int32_t z2 = o2 * 2; z2 < std::min(D2, o2 * 2 + 2); ++z2) {
-                const std::int64_t idx =
-                    cbase + (std::int64_t(z0) * D1 + z1) * D2 + z2;
-                if (x[idx] > best) {
-                  best = x[idx];
-                  best_idx = idx;
-                }
-              }
-            }
+      for (std::int32_t o1 = 0; o1 < O1; ++o1, y += O2, arg += O2) {
+        // A window with nothing above -inf (all NaN or -inf) keeps its
+        // first element as the argmax.
+        const std::int64_t first =
+            ((std::int64_t(c) * D0 + 2 * o0) * D1 + 2 * o1) * D2;
+        std::fill(y, y + O2, -std::numeric_limits<float>::infinity());
+        for (std::int32_t o2 = 0; o2 < O2; ++o2) arg[o2] = first + 2 * o2;
+        for (std::int32_t z0 = 2 * o0; z0 < std::min(D0, 2 * o0 + 2); ++z0) {
+          for (std::int32_t z1 = 2 * o1; z1 < std::min(D1, 2 * o1 + 2); ++z1) {
+            const std::int64_t row = ((std::int64_t(c) * D0 + z0) * D1 + z1) * D2;
+            argmax_fold_row(x + row, row, D2, y, arg);
           }
-          y[oi] = best;
-          argmax_[std::size_t(oi)] = best_idx;
         }
       }
     }
@@ -81,22 +136,21 @@ Tensor MaxPool3d::forward(const Tensor& input) {
 void MaxPool3d::infer_into(const float* in, std::int32_t C, std::int32_t D0,
                            std::int32_t D1, std::int32_t D2, float* out) const {
   const std::int32_t O0 = out_dim(D0), O1 = out_dim(D1), O2 = out_dim(D2);
-  std::int64_t oi = 0;
+  float* y = out;
   for (std::int32_t c = 0; c < C; ++c) {
-    const std::int64_t cbase = std::int64_t(c) * D0 * D1 * D2;
     for (std::int32_t o0 = 0; o0 < O0; ++o0) {
-      for (std::int32_t o1 = 0; o1 < O1; ++o1) {
-        for (std::int32_t o2 = 0; o2 < O2; ++o2, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int32_t z0 = o0 * 2; z0 < std::min(D0, o0 * 2 + 2); ++z0) {
-            for (std::int32_t z1 = o1 * 2; z1 < std::min(D1, o1 * 2 + 2); ++z1) {
-              for (std::int32_t z2 = o2 * 2; z2 < std::min(D2, o2 * 2 + 2); ++z2) {
-                best = std::max(best,
-                                in[cbase + (std::int64_t(z0) * D1 + z1) * D2 + z2]);
-              }
-            }
+      for (std::int32_t o1 = 0; o1 < O1; ++o1, y += O2) {
+        if (2 * o0 + 1 < D0 && 2 * o1 + 1 < D1) {
+          const float* r = in + ((std::int64_t(c) * D0 + 2 * o0) * D1 + 2 * o1) * D2;
+          const std::int64_t plane = std::int64_t(D1) * D2;
+          max_fold_four_rows(r, r + D2, r + plane, r + plane + D2, D2, y);
+          continue;
+        }
+        std::fill(y, y + O2, -std::numeric_limits<float>::infinity());
+        for (std::int32_t z0 = 2 * o0; z0 < std::min(D0, 2 * o0 + 2); ++z0) {
+          for (std::int32_t z1 = 2 * o1; z1 < std::min(D1, 2 * o1 + 2); ++z1) {
+            max_fold_row(in + ((std::int64_t(c) * D0 + z0) * D1 + z1) * D2, D2, y);
           }
-          out[oi] = best;
         }
       }
     }

@@ -676,6 +676,97 @@ TEST(UpsampleOracle, ForwardAndBackwardMatchDivisionFormula) {
   }
 }
 
+// Bitwise oracle for MaxPool3d: every window is folded in (z0, z1, z2)
+// order from -inf and adopts an element only when it is strictly greater,
+// so NaN is never adopted, the first of equal maxima wins (+0 vs -0) and
+// the argmax is the first strictly greater element; a window with nothing
+// above -inf routes its gradient to its first element.
+struct PoolCase {
+  std::int32_t c, d0, d1, d2;
+};
+constexpr PoolCase kPoolCases[] = {{2, 5, 3, 7}, {1, 1, 1, 1}, {3, 4, 6, 8},
+                                   {2, 7, 1, 3}, {8, 32, 32, 8}, {16, 16, 16, 4},
+                                   {1, 3, 9, 5}};
+
+/// Values drawn from a small set with many ties, signed zeros, NaN and
+/// -inf, plus normals; the first window of channel 0 is all NaN.
+Tensor pool_input(const PoolCase& k, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Tensor x({k.c, k.d0, k.d1, k.d2});
+  const float picks[] = {1.0f, 0.5f, -2.0f, 0.0f, -0.0f,
+                         std::numeric_limits<float>::quiet_NaN(),
+                         -std::numeric_limits<float>::infinity()};
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const std::int64_t r = rng.uniform_int(0, 9);
+    x[i] = r < 7 ? picks[r] : float(rng.normal());
+  }
+  for (std::int32_t z0 = 0; z0 < std::min(k.d0, 2); ++z0) {
+    for (std::int32_t z1 = 0; z1 < std::min(k.d1, 2); ++z1) {
+      for (std::int32_t z2 = 0; z2 < std::min(k.d2, 2); ++z2) {
+        x[(std::int64_t(z0) * k.d1 + z1) * k.d2 + z2] =
+            std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+  }
+  return x;
+}
+
+TEST(MaxPoolOracle, EvalAndTrainingMatchWindowFold) {
+  for (const PoolCase& k : kPoolCases) {
+    SCOPED_TRACE(::testing::Message() << k.c << "x" << k.d0 << "x" << k.d1 << "x"
+                                      << k.d2);
+    const Tensor input = pool_input(k, 2000 + std::uint64_t(k.d0 * 37 + k.d2));
+    const std::int32_t O0 = MaxPool3d::out_dim(k.d0), O1 = MaxPool3d::out_dim(k.d1),
+                       O2 = MaxPool3d::out_dim(k.d2);
+    Tensor want({k.c, O0, O1, O2});
+    std::vector<std::int64_t> want_arg(std::size_t(want.numel()));
+    std::int64_t oi = 0;
+    for (std::int32_t c = 0; c < k.c; ++c) {
+      for (std::int32_t o0 = 0; o0 < O0; ++o0) {
+        for (std::int32_t o1 = 0; o1 < O1; ++o1) {
+          for (std::int32_t o2 = 0; o2 < O2; ++o2, ++oi) {
+            float best = -std::numeric_limits<float>::infinity();
+            std::int64_t arg = -1;
+            for (std::int32_t z0 = 2 * o0; z0 < std::min(k.d0, 2 * o0 + 2); ++z0) {
+              for (std::int32_t z1 = 2 * o1; z1 < std::min(k.d1, 2 * o1 + 2); ++z1) {
+                for (std::int32_t z2 = 2 * o2; z2 < std::min(k.d2, 2 * o2 + 2); ++z2) {
+                  const std::int64_t idx =
+                      ((std::int64_t(c) * k.d0 + z0) * k.d1 + z1) * k.d2 + z2;
+                  if (arg < 0) arg = idx;
+                  if (input[idx] > best) {
+                    best = input[idx];
+                    arg = idx;
+                  }
+                }
+              }
+            }
+            want[oi] = best;
+            want_arg[std::size_t(oi)] = arg;
+          }
+        }
+      }
+    }
+
+    MaxPool3d pool;
+    Tensor eval_out(want.shape());
+    pool.infer_into(input.data(), k.c, k.d0, k.d1, k.d2, eval_out.data());
+    expect_same_bits(eval_out.data(), want.data(), want.numel(), "infer_into");
+    const Tensor eval_fwd = pool.forward(input);
+    expect_same_bits(eval_fwd.data(), want.data(), want.numel(), "eval forward");
+
+    pool.set_training(true);
+    const Tensor out = pool.forward(input);
+    expect_same_bits(out.data(), want.data(), want.numel(), "training forward");
+    const Tensor grad_out = random_input(want.shape(), 2100 + std::uint64_t(k.d1));
+    const Tensor grad_in = pool.backward(grad_out);
+    Tensor want_gi(input.shape());
+    for (std::size_t i = 0; i < want_arg.size(); ++i) {
+      want_gi[want_arg[i]] += grad_out[std::int64_t(i)];
+    }
+    expect_same_bits(grad_in.data(), want_gi.data(), want_gi.numel(), "backward");
+  }
+}
+
 TEST(LinearLayer, KnownComputation) {
   util::Rng rng(1);
   Linear fc(2, 1, rng);
