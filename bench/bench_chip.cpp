@@ -1,13 +1,20 @@
 // Full-chip negotiated-routing benchmark (DESIGN.md §14): routes a random
-// multi-net layout — the ISSUE acceptance case, a 32x32x8 grid with 28
-// nets — through chip::ChipRouter over the lin08 engine and reports the
+// multi-net layout — the acceptance case, a 32x32x8 grid with 28 nets —
+// through chip::ChipRouter over the lin08 engine and reports the
 // negotiation trajectory (overflow per iteration), final wirelength/vias,
-// and nets-per-second throughput.
+// and nets-per-second throughput.  A denser 32x32x8 case (dim*dim*m/10
+// obstacles, 14 nets, as in oarbench's chip workload) that needs several
+// negotiation iterations is then routed over the RL engine (the seeded,
+// untrained pretrained-config selector at fp32) to count net routes
+// against selector forwards: the per-net Steiner-point memo allows one
+// forward per net with three or more pins, however often it is rerouted.
 //
 // Correctness cross-checks are hard failures: the loop must converge to
 // zero overflow within the iteration cap, every committed tree must
 // validate over its net's pins and avoid obstacle vertices, and a
 // from-scratch usage recount must match the committed trees exactly.
+// With metrics compiled in, a selector forward count other than the
+// number of nets with three or more pins is a hard failure too.
 // Results go to stdout and BENCH_chip.json.  `--smoke` runs only the
 // acceptance case; the full run adds a net-ordering-heuristic sweep.
 // There is deliberately no timing assertion (CI machines are too noisy).
@@ -15,16 +22,20 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "chip/chip_router.hpp"
 #include "chip/congestion.hpp"
+#include "core/pretrained.hpp"
+#include "core/rl_router.hpp"
 #include "gen/random_layout.hpp"
 #include "gen/random_netlist.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "rl/selector.hpp"
 #include "steiner/lin08.hpp"
 #include "util/rng.hpp"
 
@@ -33,13 +44,12 @@ namespace {
 using namespace oar;
 
 hanan::HananGrid make_grid(std::int32_t dim, std::int32_t m,
-                           std::uint64_t seed) {
-  util::Rng rng(seed);
+                           std::int32_t obstacles, util::Rng& rng) {
   gen::RandomGridSpec spec;
   spec.h = spec.v = dim;
   spec.m = m;
   spec.min_pins = spec.max_pins = 2;  // placeholder pins, cleared below
-  spec.min_obstacles = spec.max_obstacles = std::max(1, dim * dim * m / 40);
+  spec.min_obstacles = spec.max_obstacles = std::max(1, obstacles);
   hanan::HananGrid grid = gen::random_grid(spec, rng);
   grid.clear_pins();  // the netlist brings the pins
   return grid;
@@ -49,8 +59,7 @@ hanan::HananGrid make_grid(std::int32_t dim, std::int32_t m,
 chip::ChipResult route_checked(const hanan::HananGrid& grid,
                                const chip::Netlist& netlist,
                                const chip::ChipConfig& config,
-                               const char* label) {
-  steiner::Lin08Router engine;
+                               const char* label, steiner::Router& engine) {
   chip::ChipRouter chip_router(grid, config);
   chip::ChipResult result = chip_router.route(netlist, engine);
 
@@ -90,11 +99,16 @@ chip::ChipResult route_checked(const hanan::HananGrid& grid,
   return result;
 }
 
+/// Engine calls over the whole negotiation (first routes and reroutes).
+std::int64_t net_routes(const chip::ChipResult& result) {
+  std::int64_t routes = 0;
+  for (const chip::NetRoute& net : result.nets) routes += net.reroutes;
+  return routes;
+}
+
 double nets_per_sec(const chip::ChipResult& result) {
-  std::int64_t engine_calls = 0;
-  for (const chip::NetRoute& net : result.nets) engine_calls += net.reroutes;
   return result.total_seconds > 0.0
-             ? double(engine_calls) / result.total_seconds
+             ? double(net_routes(result)) / result.total_seconds
              : 0.0;
 }
 
@@ -118,7 +132,9 @@ int main(int argc, char** argv) {
 
   // The acceptance case: 32x32x8, ~dim*dim*m/40 obstacles, 28 nets.
   const std::int32_t dim = 32, layers = 8, n_nets = 28;
-  const hanan::HananGrid grid = make_grid(dim, layers, /*seed=*/17);
+  util::Rng grid_rng(17);
+  const hanan::HananGrid grid =
+      make_grid(dim, layers, dim * dim * layers / 40, grid_rng);
 
   util::Rng rng(43);
   gen::RandomNetlistSpec netlist_spec;
@@ -132,15 +148,17 @@ int main(int argc, char** argv) {
               smoke ? " (smoke)" : "");
 
   chip::ChipConfig config;
+  steiner::Lin08Router lin08;
   const chip::ChipResult result =
-      route_checked(grid, netlist, config, "hpwl");
+      route_checked(grid, netlist, config, "hpwl", lin08);
 
   std::printf("  converged      : %d iterations (cap %d)\n",
               result.iterations_run, config.max_iterations);
   std::printf("  wirelength     : %10.1f   vias %" PRId64 "\n",
               result.wirelength, result.via_count);
-  std::printf("  nets/sec       : %10.1f   (%.3fs total)\n",
-              nets_per_sec(result), result.total_seconds);
+  std::printf("  nets/sec       : %10.1f   (%.3fs total, %" PRId64
+              " net routes)\n",
+              nets_per_sec(result), result.total_seconds, net_routes(result));
   std::printf("  overflow series:");
   for (const chip::IterationStats& it : result.iterations) {
     std::printf(" %" PRId64, it.overflow);
@@ -158,6 +176,38 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The RL engine on the negotiation case: one selector forward per net
+  // with three or more pins (2-pin nets select nothing), none per reroute.
+  util::Rng dense_rng(26);
+  const hanan::HananGrid dense =
+      make_grid(dim, layers, dim * dim * layers / 10, dense_rng);
+  const chip::Netlist dense_netlist =
+      gen::random_netlist(dense, 14, dense_rng, netlist_spec);
+  obs::Counter& fp32_forwards = obs::MetricsRegistry::instance().counter(
+      "oar_nn_quant_fp32_forwards_total");
+  core::RlRouter rl_engine(
+      std::make_shared<rl::SteinerSelector>(core::pretrained_selector_config()));
+  const std::uint64_t forwards_before = fp32_forwards.value();
+  const chip::ChipResult rl_result =
+      route_checked(dense, dense_netlist, config, "rl-ours", rl_engine);
+  const std::uint64_t selector_forwards = fp32_forwards.value() - forwards_before;
+  std::int64_t multi_pin_nets = 0;
+  for (const chip::Net& net : dense_netlist.nets) {
+    multi_pin_nets += net.pins.size() >= 3;
+  }
+  std::printf("  rl-ours dense  : %d iterations, %" PRId64 " net routes, %" PRIu64
+              " selector forwards (%" PRId64 " nets with >= 3 pins), "
+              "%.1f nets/sec\n",
+              rl_result.iterations_run, net_routes(rl_result), selector_forwards,
+              multi_pin_nets, nets_per_sec(rl_result));
+  if (obs::kMetricsCompiled && selector_forwards != std::uint64_t(multi_pin_nets)) {
+    std::fprintf(stderr,
+                 "FATAL [rl-ours]: %" PRIu64 " selector forwards for %" PRId64
+                 " nets with >= 3 pins\n",
+                 selector_forwards, multi_pin_nets);
+    return 1;
+  }
+
   // Full mode: how much the net ordering matters on the same problem.
   struct SweepRow {
     chip::NetOrder order;
@@ -172,7 +222,7 @@ int main(int argc, char** argv) {
       chip::ChipConfig cfg;
       cfg.order = order;
       const chip::ChipResult r =
-          route_checked(grid, netlist, cfg, order_name(order));
+          route_checked(grid, netlist, cfg, order_name(order), lin08);
       sweep.push_back({order, r.wirelength, r.iterations_run});
       std::printf("  order %-9s : wirelength %10.1f  iterations %d\n",
                   order_name(order), r.wirelength, r.iterations_run);
@@ -202,9 +252,19 @@ int main(int argc, char** argv) {
                  "  \"wirelength\": %.3f,\n"
                  "  \"via_count\": %" PRId64 ",\n"
                  "  \"nets_per_sec\": %.3f,\n"
-                 "  \"total_seconds\": %.6f",
+                 "  \"net_routes\": %" PRId64 ",\n"
+                 "  \"total_seconds\": %.6f,\n"
+                 "  \"rl_ours_dense\": {\"nets\": %zu, \"net_routes\": %" PRId64
+                 ", \"selector_forwards\": %" PRIu64
+                 ", \"nets_with_3plus_pins\": %" PRId64
+                 ", \"iterations\": %d, \"wirelength\": %.3f"
+                 ", \"nets_per_sec\": %.3f}",
                  result.overflow, result.wirelength, result.via_count,
-                 nets_per_sec(result), result.total_seconds);
+                 nets_per_sec(result), net_routes(result), result.total_seconds,
+                 dense_netlist.nets.size(), net_routes(rl_result),
+                 selector_forwards, multi_pin_nets,
+                 rl_result.iterations_run, rl_result.wirelength,
+                 nets_per_sec(rl_result));
     if (!sweep.empty()) {
       std::fprintf(f, ",\n  \"ordering_sweep\": {");
       for (std::size_t i = 0; i < sweep.size(); ++i) {
