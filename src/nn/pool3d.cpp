@@ -71,27 +71,32 @@ void max_fold_four_rows(const float* __restrict__ a, const float* __restrict__ b
   }
 }
 
-/// The training fold: as max_fold_row, also moving arg[o] to the flat
-/// index (`base` + position in the row) of each strictly greater element.
-void argmax_fold_row(const float* x, std::int64_t base, std::int32_t D2, float* y,
-                     std::int64_t* arg) {
-  const std::int32_t pairs = D2 / 2;
-  for (std::int32_t o = 0; o < pairs; ++o) {
-    float best = y[o];
-    std::int64_t at = arg[o];
-    const float a = x[2 * o], b = x[2 * o + 1];
-    at = a > best ? base + 2 * o : at;
-    best = a > best ? a : best;
-    at = b > best ? base + 2 * o + 1 : at;
-    best = b > best ? b : best;
+/// The training fold of one output row: the `n` input rows starting at
+/// flat input indices `rows[j]` folded in order, keeping each window's
+/// first strictly greater element and its index.  A window with nothing
+/// above -inf keeps its first element as argmax.  (GCC turns this
+/// compare-and-update into maxss + cmov; a select on a row-relative index
+/// became a branch that mispredicts on random activations.)
+void argmax_fold_rows(const float* x, const std::int64_t* rows, std::int32_t n,
+                      std::int32_t D2, float* __restrict__ y,
+                      std::int64_t* __restrict__ arg) {
+  const auto fold = [&](std::int32_t o, std::int32_t z_begin, std::int32_t z_end) {
+    float best = -std::numeric_limits<float>::infinity();
+    std::int64_t at = rows[0] + z_begin;
+    for (std::int32_t j = 0; j < n; ++j) {
+      for (std::int64_t idx = rows[j] + z_begin; idx < rows[j] + z_end; ++idx) {
+        if (x[idx] > best) {
+          best = x[idx];
+          at = idx;
+        }
+      }
+    }
     y[o] = best;
     arg[o] = at;
-  }
-  if (D2 & 1) {
-    const float a = x[D2 - 1];
-    arg[pairs] = a > y[pairs] ? base + D2 - 1 : arg[pairs];
-    y[pairs] = a > y[pairs] ? a : y[pairs];
-  }
+  };
+  const std::int32_t pairs = D2 / 2;
+  for (std::int32_t o = 0; o < pairs; ++o) fold(o, 2 * o, 2 * o + 2);
+  if (D2 & 1) fold(pairs, D2 - 1, D2);
 }
 
 }  // namespace
@@ -115,18 +120,14 @@ Tensor MaxPool3d::forward(const Tensor& input) {
   for (std::int32_t c = 0; c < C; ++c) {
     for (std::int32_t o0 = 0; o0 < O0; ++o0) {
       for (std::int32_t o1 = 0; o1 < O1; ++o1, y += O2, arg += O2) {
-        // A window with nothing above -inf (all NaN or -inf) keeps its
-        // first element as the argmax.
-        const std::int64_t first =
-            ((std::int64_t(c) * D0 + 2 * o0) * D1 + 2 * o1) * D2;
-        std::fill(y, y + O2, -std::numeric_limits<float>::infinity());
-        for (std::int32_t o2 = 0; o2 < O2; ++o2) arg[o2] = first + 2 * o2;
+        std::int64_t rows[4] = {};
+        std::int32_t n = 0;
         for (std::int32_t z0 = 2 * o0; z0 < std::min(D0, 2 * o0 + 2); ++z0) {
           for (std::int32_t z1 = 2 * o1; z1 < std::min(D1, 2 * o1 + 2); ++z1) {
-            const std::int64_t row = ((std::int64_t(c) * D0 + z0) * D1 + z1) * D2;
-            argmax_fold_row(x + row, row, D2, y, arg);
+            rows[n++] = ((std::int64_t(c) * D0 + z0) * D1 + z1) * D2;
           }
         }
+        argmax_fold_rows(x, rows, n, D2, y, arg);
       }
     }
   }
