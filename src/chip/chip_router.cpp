@@ -143,8 +143,9 @@ ChipResult ChipRouter::route(const Netlist& netlist, steiner::Router& engine) {
         ob.ripups.inc();
       }
       // Price the layout as this net would find it: everyone else's usage
-      // plus accrued history.  The overlay write bumps revision() so the
-      // engine's maze/feature caches rebuild exactly when costs changed.
+      // plus accrued history.  The overlay write and the pin swap below
+      // bump revision(), so the engine's maze/feature caches rebuild on
+      // every net route.
       congestion.apply_to(*grid, present);
       grid->clear_pins();
       for (const Vertex p : net.pins) grid->add_pin(p);
