@@ -2,10 +2,11 @@
 // requests (with deadlines) at one service instance.  Demonstrates the
 // worker threads (each serves whole requests on its own selector replica),
 // symmetry-aware cache hits (a rotated copy of a routed layout is answered
-// from the cache) and the per-stage metrics snapshot.
+// from the cache) and a per-stage latency summary of the replies.
 //
 // Usage: serve_demo [clients] [requests-per-client]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "gen/random_layout.hpp"
 #include "rl/augment.hpp"
 #include "serve/service.hpp"
+#include "util/stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace oar;
@@ -41,6 +43,9 @@ int main(int argc, char** argv) {
   cfg.worker_threads = 2;
   serve::RouterService service(selector, cfg);
 
+  // One reply list per client thread.
+  std::vector<std::vector<serve::RouteReply>> replies(
+      std::size_t(std::max(clients, 0)));
   std::vector<std::thread> workers;
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
@@ -60,23 +65,39 @@ int main(int argc, char** argv) {
             "client %d req %d: cost %7.0f  %s%s  %5.1f ms total\n", c, r,
             reply.result.cost, reply.cache_hit ? "cache-hit " : "routed    ",
             reply.deadline_met ? "" : " DEADLINE MISSED", reply.total_seconds * 1e3);
+        replies[std::size_t(c)].push_back(reply);
       }
     });
   }
   for (auto& w : workers) w.join();
 
-  const auto snap = service.metrics().snapshot();
-  std::printf("\n%llu requests, %llu cache hits (%.0f%%), %llu deadline "
-              "misses\n",
-              (unsigned long long)snap.requests,
-              (unsigned long long)snap.cache_hits, 100.0 * snap.cache_hit_rate(),
-              (unsigned long long)snap.deadline_misses);
-  for (int s = 0; s < serve::kNumStages; ++s) {
-    const auto& st = snap.stages[std::size_t(s)];
-    if (st.count == 0) continue;
-    std::printf("  %-14s count %4zu  mean %7.2f ms  p90 %7.2f ms\n",
-                serve::stage_name(serve::Stage(s)), st.count, st.mean_ms,
-                st.p90_ms);
+  // Stage times of the routed replies (hits skip the queue, the forward
+  // and the build); end-to-end time over every reply.
+  std::size_t requests = 0, hits = 0, late = 0;
+  util::RunningStats queue, inference, routing, total;
+  for (const auto& client : replies) {
+    for (const serve::RouteReply& r : client) {
+      ++requests;
+      if (r.cache_hit) ++hits;
+      if (!r.deadline_met) ++late;
+      total.add(r.total_seconds);
+      if (r.cache_hit) continue;
+      queue.add(r.queue_seconds);
+      inference.add(r.inference_seconds);
+      routing.add(r.routing_seconds);
+    }
   }
+  std::printf("\n%zu requests, %zu cache hits (%.0f%%), %zu deadline misses\n",
+              requests, hits,
+              requests == 0 ? 0.0 : 100.0 * double(hits) / double(requests), late);
+  const auto print_stage = [](const char* name, const util::RunningStats& st) {
+    if (st.count() == 0) return;
+    std::printf("  %-14s count %4zu  mean %7.2f ms  max %7.2f ms\n", name,
+                st.count(), st.mean() * 1e3, st.max() * 1e3);
+  };
+  print_stage("queue_wait", queue);
+  print_stage("inference", inference);
+  print_stage("routing", routing);
+  print_stage("total", total);
   return 0;
 }

@@ -52,7 +52,6 @@
 #include "rl/seq_trainer.hpp"
 #include "rl/trainer.hpp"
 #include "route/oarmst.hpp"
-#include "serve/metrics.hpp"
 #include "serve/service.hpp"
 #include "steiner/lin08.hpp"
 #include "steiner/oracle.hpp"

@@ -259,12 +259,13 @@ std::vector<ExperienceRecord> FileStore::match_base(std::string_view base_key,
   return out;
 }
 
-void FileStore::put(const CanonicalKey& key, const ExperienceRecord& rec) {
-  if (read_only_ || key.empty()) return;
+std::size_t FileStore::put(const CanonicalKey& key, const ExperienceRecord& rec) {
+  if (read_only_ || key.empty()) return 0;
   std::string payload;
   payload.reserve(4 + key.bytes().size() + 256);
   put_pod(payload, std::uint32_t(key.bytes().size()));
   payload.append(key.bytes());
+  const std::size_t key_bytes = payload.size();
   payload.append(serialize_record(rec));
 
   std::unique_lock lock(mu_);
@@ -277,6 +278,7 @@ void FileStore::put(const CanonicalKey& key, const ExperienceRecord& rec) {
   index_payload(Loc{offset, payload.size()});
   ++stats_.appended;
   stats_.pending_bytes = overlay_.size() - flushed_overlay_;
+  return payload.size() - key_bytes;
 }
 
 void FileStore::flush() {

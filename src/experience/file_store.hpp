@@ -77,7 +77,9 @@ class FileStore {
 
   /// Buffers an append (or append-merge update) of `rec` under `key`.
   /// Visible to get()/match_base() immediately; durable after flush().
-  void put(const CanonicalKey& key, const ExperienceRecord& rec);
+  /// Returns the size of `rec`'s serialized bytes in the frame (0 when
+  /// nothing is appended: read-only store or empty key).
+  std::size_t put(const CanonicalKey& key, const ExperienceRecord& rec);
 
   /// Writes buffered frames to disk and fdatasyncs.  No-op when clean.
   void flush();

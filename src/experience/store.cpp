@@ -102,14 +102,8 @@ std::optional<ExperienceRecord> Store::get(const CanonicalKey& key,
                                            HitTier* tier) {
   if (tier != nullptr) *tier = HitTier::kMiss;
   exp_obs().gets.inc();
-  {
-    std::scoped_lock lock(stats_mu_);
-    ++stats_.gets;
-  }
   if (key.empty()) {
     exp_obs().misses.inc();
-    std::scoped_lock lock(stats_mu_);
-    ++stats_.misses;
     return std::nullopt;
   }
 
@@ -121,8 +115,6 @@ std::optional<ExperienceRecord> Store::get(const CanonicalKey& key,
       lru_.splice(lru_.begin(), lru_, it->second);
       if (tier != nullptr) *tier = HitTier::kMemory;
       exp_obs().hits_memory.inc();
-      std::scoped_lock slock(stats_mu_);
-      ++stats_.memory_hits;
       return it->second->second;
     }
   }
@@ -145,18 +137,12 @@ std::optional<ExperienceRecord> Store::get(const CanonicalKey& key,
       }
       if (tier != nullptr) *tier = HitTier::kDisk;
       exp_obs().hits_disk.inc();
-      {
-        std::scoped_lock slock(stats_mu_);
-        ++stats_.disk_hits;
-      }
       refresh_gauges();
       return rec;
     }
   }
 
   exp_obs().misses.inc();
-  std::scoped_lock lock(stats_mu_);
-  ++stats_.misses;
   return std::nullopt;
 }
 
@@ -165,10 +151,9 @@ void Store::put(const CanonicalKey& key, ExperienceRecord record) {
   exp_obs().puts.inc();
   bool want_flush = false;
   if (disk_ != nullptr && !config_.read_only) {
-    disk_->put(key, record);
+    exp_obs().record_bytes.observe(double(disk_->put(key, record)));
     exp_obs().appends.inc();
-    exp_obs().record_bytes.observe(double(serialize_record(record).size()));
-    std::scoped_lock lock(stats_mu_);
+    std::scoped_lock lock(flush_mu_);
     ++puts_since_flush_;
     if (config_.flush_batch > 0 && puts_since_flush_ >= config_.flush_batch) {
       puts_since_flush_ = 0;
@@ -189,10 +174,6 @@ void Store::put(const CanonicalKey& key, ExperienceRecord record) {
         lru_.pop_back();
       }
     }
-  }
-  {
-    std::scoped_lock lock(stats_mu_);
-    ++stats_.puts;
   }
   if (want_flush) {
     flush();
@@ -251,10 +232,6 @@ std::size_t Store::disk_records() const {
 
 StoreStats Store::stats() const {
   StoreStats out;
-  {
-    std::scoped_lock lock(stats_mu_);
-    out = stats_;
-  }
   out.memory_entries = memory_entries();
   if (disk_ != nullptr) out.disk = disk_->stats();
   return out;

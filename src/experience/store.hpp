@@ -58,12 +58,9 @@ struct StoreConfig {
   void validate() const;
 };
 
+/// What the tiers hold.  Lookup and put counts are the oar_exp_* counters
+/// of the obs::MetricsRegistry, not fields here.
 struct StoreStats {
-  std::uint64_t gets = 0;
-  std::uint64_t memory_hits = 0;
-  std::uint64_t disk_hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t puts = 0;
   std::uint64_t memory_entries = 0;
   FileStoreStats disk;  ///< zeroed when no disk tier
 };
@@ -113,9 +110,8 @@ class Store {
   std::unordered_map<CanonicalKey, std::list<MemEntry>::iterator, KeyHash>
       mem_index_;
 
-  mutable std::mutex stats_mu_;
-  StoreStats stats_{};
-  std::size_t puts_since_flush_ = 0;
+  std::mutex flush_mu_;
+  std::size_t puts_since_flush_ = 0;  // disk appends since the last batch flush
 };
 
 }  // namespace oar::experience

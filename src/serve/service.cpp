@@ -13,9 +13,11 @@ namespace oar::serve {
 
 namespace {
 
-// Global-registry counterparts of ServiceMetrics (which keeps the CSV
-// percentile path).  Names follow the oar_<subsystem>_<what>_<unit> scheme
-// of DESIGN.md §12; the serving integration test pins these families.
+// The service's metrics, all in the process-global registry.  Names follow
+// the oar_<subsystem>_<what>_<unit> scheme of DESIGN.md §12; the serving
+// integration test pins these families.
+constexpr const char* kRequestLatency = "oar_serve_request_latency_seconds";
+
 struct ServeObs {
   obs::Counter& requests;
   obs::Counter& cache_hits;
@@ -29,6 +31,7 @@ struct ServeObs {
   obs::Gauge& slo_p50_latency;
   obs::Gauge& slo_p99_latency;
   obs::Histogram& request_latency;
+  obs::Histogram& queue_latency;
   obs::Histogram& inference_latency;
   obs::Histogram& routing_latency;
   obs::Histogram& slo_slack;
@@ -54,8 +57,10 @@ ServeObs& serve_obs() {
                 "Median end-to-end latency, refreshed at each scrape"),
       reg.gauge("oar_serve_slo_p99_latency_seconds",
                 "p99 end-to-end latency, refreshed at each scrape"),
-      reg.histogram("oar_serve_request_latency_seconds", obs::latency_buckets(),
+      reg.histogram(kRequestLatency, obs::latency_buckets(),
                     "Submit-to-reply latency per request"),
+      reg.histogram("oar_serve_queue_seconds", obs::latency_buckets(),
+                    "Submit-to-pop queue wait per routed request"),
       reg.histogram("oar_serve_inference_seconds", obs::latency_buckets(),
                     "Encode + U-Net forward latency per routed request"),
       reg.histogram("oar_serve_routing_seconds", obs::latency_buckets(),
@@ -168,7 +173,6 @@ void RouterService::stop() {
 }
 
 std::future<RouteReply> RouterService::submit(RouteRequest request) {
-  metrics_.add_request();
   serve_obs().requests.inc();
   const Clock::time_point now = Clock::now();
 
@@ -191,7 +195,6 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
     experience::HitTier tier = experience::HitTier::kMiss;
     if (std::optional<experience::ExperienceRecord> hit = store_->get(
             experience::CanonicalKey::from_bytes(pending.canon.key), &tier)) {
-      metrics_.add_cache_hit();
       serve_obs().cache_hits.inc();
       RouteReply reply = replay_cached(pending.request, pending.canon, *hit);
       reply.hit_tier = tier;
@@ -202,11 +205,9 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
             std::max(0.0, seconds_between(done, *pending.deadline)));
         if (done > *pending.deadline) {
           reply.deadline_met = false;
-          metrics_.add_deadline_miss();
           serve_obs().slo_deadline_misses.inc();
         }
       }
-      metrics_.record_stage(Stage::kTotal, reply.total_seconds);
       serve_obs().request_latency.observe(reply.total_seconds);
       pending.promise.set_value(std::move(reply));
       return fut;
@@ -229,7 +230,6 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
   if (config_.slo.reject_hopeless && pending.deadline) {
     const double slack_ms = seconds_between(now, *pending.deadline) * 1e3;
     if (slack_ms < config_.slo.min_slack_ms) {
-      metrics_.add_rejected_hopeless();
       serve_obs().slo_rejected_hopeless.inc();
       reject(ReplyStatus::kOverloadedHopelessDeadline);
       return fut;
@@ -240,7 +240,6 @@ std::future<RouteReply> RouterService::submit(RouteRequest request) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (config_.slo.max_queue_depth > 0 &&
         queue_.size() >= config_.slo.max_queue_depth) {
-      metrics_.add_rejected_queue_full();
       serve_obs().slo_rejected_queue_full.inc();
       reject(ReplyStatus::kOverloadedQueueFull);
       return fut;
@@ -285,13 +284,12 @@ void RouterService::worker_loop(rl::SteinerSelector& selector) {
 void RouterService::serve_request(rl::SteinerSelector& selector,
                                   Pending& p, Clock::time_point popped) {
   const double queue_seconds = std::max(0.0, seconds_between(p.enqueued, popped));
-  metrics_.record_stage(Stage::kQueueWait, queue_seconds);
+  serve_obs().queue_latency.observe(queue_seconds);
   const HananGrid& grid = *p.request.grid;
 
   util::Timer infer_timer;
   const std::vector<double> fsp = selector.infer_fsp(grid);
   const double infer_seconds = infer_timer.seconds();
-  metrics_.record_stage(Stage::kInference, infer_seconds);
   serve_obs().inference_latency.observe(infer_seconds);
 
   util::Timer route_timer;
@@ -305,7 +303,6 @@ void RouterService::serve_request(rl::SteinerSelector& selector,
   route::OarmstResult res =
       router.build(grid.pins(), steiner, &route::local_router_scratch());
   const double route_seconds = route_timer.seconds();
-  metrics_.record_stage(Stage::kRouting, route_seconds);
   serve_obs().routing_latency.observe(route_seconds);
 
   if (caching_enabled() && res.connected) {
@@ -334,11 +331,9 @@ void RouterService::serve_request(rl::SteinerSelector& selector,
         std::max(0.0, seconds_between(done, *p.deadline)));
     if (done > *p.deadline) {
       reply.deadline_met = false;
-      metrics_.add_deadline_miss();
       serve_obs().slo_deadline_misses.inc();
     }
   }
-  metrics_.record_stage(Stage::kTotal, reply.total_seconds);
   serve_obs().request_latency.observe(reply.total_seconds);
   p.promise.set_value(std::move(reply));
 }
@@ -350,12 +345,14 @@ void RouterService::refresh_gauges() {
     o.queue_depth.set(double(queue_.size()));
   }
   o.cache_entries.set(double(store_->memory_entries()));
-  // Percentile gauges are point-in-time reads of the bounded stage
-  // histograms — recomputed at every scrape, like the liveness gauges.
-  const MetricsSnapshot snap = metrics_.snapshot();
-  const StageSummary& total = snap.stages[std::size_t(Stage::kTotal)];
-  o.slo_p50_latency.set(total.p50_ms * 1e-3);
-  o.slo_p99_latency.set(total.p99_ms * 1e-3);
+  // Percentile gauges are bucket quantiles of the registry's own
+  // request-latency histogram, recomputed at every scrape.
+  for (const obs::HistogramSample& h :
+       obs::MetricsRegistry::instance().snapshot().histograms) {
+    if (h.name != kRequestLatency) continue;
+    o.slo_p50_latency.set(obs::histogram_quantile(h, 0.50));
+    o.slo_p99_latency.set(obs::histogram_quantile(h, 0.99));
+  }
 }
 
 std::string RouterService::scrape_prometheus() {

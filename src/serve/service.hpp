@@ -54,7 +54,6 @@
 #include "experience/store.hpp"
 #include "rl/selector.hpp"
 #include "route/oarmst.hpp"
-#include "serve/metrics.hpp"
 
 namespace oar::serve {
 
@@ -203,7 +202,6 @@ class RouterService {
   RouteReply route(std::shared_ptr<const HananGrid> grid);
 
   const RouterServiceConfig& config() const { return config_; }
-  ServiceMetrics& metrics() { return metrics_; }
   /// Entries resident in the memory tier (the legacy cache-size view).
   std::size_t cache_size() const { return store_->memory_entries(); }
   /// The tiered experience store backing result memoization.
@@ -213,10 +211,13 @@ class RouterService {
   }
 
   /// Point-in-time export of the process-global obs::MetricsRegistry in
-  /// Prometheus exposition format / JSON.  Contains this service's
-  /// families (request latency, stage latencies, symmetry-cache hits) and
-  /// every lower layer's (MazeRouter epochs, inference arena, ...);
-  /// liveness gauges (queue depth, cache entries) are refreshed first.
+  /// Prometheus exposition format / JSON.  Contains the oar_serve_*
+  /// families (request latency, queue/inference/routing stage latencies,
+  /// symmetry-cache hits, SLO counters) and every lower layer's
+  /// (MazeRouter epochs, inference arena, ...); the liveness gauges (queue
+  /// depth, cache entries) and the p50/p99 latency gauges are refreshed
+  /// first.  The registry is the service's only metrics store: like every
+  /// oar_serve_* family, these are process-wide, summed over all services.
   std::string scrape_prometheus();
   std::string scrape_json();
 
@@ -251,7 +252,6 @@ class RouterService {
   RouterServiceConfig config_;
   std::shared_ptr<rl::SteinerSelector> selector_;
   std::shared_ptr<experience::Store> store_;
-  ServiceMetrics metrics_;
   /// Selectors of workers 1..N-1 (worker 0 runs on selector_).
   std::vector<std::unique_ptr<rl::SteinerSelector>> replicas_;
 

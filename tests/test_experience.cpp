@@ -14,6 +14,7 @@
 #include "experience/warm_start.hpp"
 #include "gen/random_layout.hpp"
 #include "mcts/comb_mcts.hpp"
+#include "obs/metrics.hpp"
 #include "rl/augment.hpp"
 #include "rl/selector.hpp"
 #include "route/oarmst.hpp"
@@ -76,6 +77,10 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), std::streamsize(bytes.size()));
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
 }
 
 TEST(ExperienceRecord, SerializeRoundTripsWarmPayload) {
@@ -230,6 +235,9 @@ TEST(ExperienceStore, TierProvenanceMemoryDiskMiss) {
   sc.flush_batch = 1;
   Store store(sc);
   const KeyedRecord keyed = routed_record(small_grid());
+  const std::uint64_t misses = counter_value("oar_exp_misses_total");
+  const std::uint64_t disk_hits = counter_value("oar_exp_hits_disk_total");
+  const std::uint64_t memory_hits = counter_value("oar_exp_hits_memory_total");
 
   HitTier tier = HitTier::kMemory;
   EXPECT_FALSE(store.get(keyed.key, &tier).has_value());
@@ -247,11 +255,38 @@ TEST(ExperienceStore, TierProvenanceMemoryDiskMiss) {
   EXPECT_TRUE(store.get(keyed.key, &tier).has_value());
   EXPECT_EQ(tier, HitTier::kMemory);
 
-  const StoreStats stats = store.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.disk_hits, 1u);
-  EXPECT_EQ(stats.memory_hits, 2u);
   std::remove(path.c_str());
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_EQ(counter_value("oar_exp_misses_total") - misses, 1u);
+  EXPECT_EQ(counter_value("oar_exp_hits_disk_total") - disk_hits, 1u);
+  EXPECT_EQ(counter_value("oar_exp_hits_memory_total") - memory_hits, 2u);
+}
+
+TEST(ExperienceStore, RecordBytesHistogramSumsSerializedRecords) {
+  // oar_exp_record_bytes observes each disk-tier append's record size,
+  // taken from the frame the disk tier builds.
+  const std::string path = temp_path("record_bytes.oarexp");
+  StoreConfig sc;
+  sc.path = path;
+  Store store(sc);
+  obs::Histogram& bytes_hist = obs::MetricsRegistry::instance().histogram(
+      "oar_exp_record_bytes", obs::pow2_buckets(24));
+  const std::uint64_t count_before = bytes_hist.count();
+  const double sum_before = bytes_hist.sum();
+
+  double want = 0.0;
+  for (std::uint64_t seed = 4; seed <= 6; ++seed) {
+    const KeyedRecord keyed = routed_record(small_grid(seed));
+    want += double(serialize_record(keyed.record).size());
+    store.put(keyed.key, keyed.record);
+  }
+  EXPECT_EQ(store.stats().disk.appended, 3u);
+  std::remove(path.c_str());
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_EQ(bytes_hist.count() - count_before, 3u);
+  EXPECT_EQ(bytes_hist.sum() - sum_before, want);
 }
 
 TEST(ExperienceStore, MemoryOnlyStoreIsAPureLru) {

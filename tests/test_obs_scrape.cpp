@@ -78,10 +78,13 @@ TEST(ObsScrape, RouterServiceExposesAllLayers) {
   EXPECT_GE(sample_value(scrape, "oar_serve_request_latency_seconds_count"),
             3.0);
 
-  // Per-request stage histogram: one forward per miss.
+  // Per-request stage histograms: one forward and one queue wait per miss.
   EXPECT_NE(scrape.find("# TYPE oar_serve_inference_seconds histogram"),
             std::string::npos);
   EXPECT_GE(sample_value(scrape, "oar_serve_inference_seconds_count"), 2.0);
+  EXPECT_NE(scrape.find("# TYPE oar_serve_queue_seconds histogram"),
+            std::string::npos);
+  EXPECT_GE(sample_value(scrape, "oar_serve_queue_seconds_count"), 2.0);
 
   // Symmetry-cache hit ratio: both counters present, at least one hit and
   // one miss from the replayed request above.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdio>
 #include <filesystem>
 #include <future>
 #include <set>
@@ -14,7 +13,6 @@
 #include "gen/random_layout.hpp"
 #include "experience/record.hpp"
 #include "obs/metrics.hpp"
-#include "serve/metrics.hpp"
 
 namespace oar::serve {
 namespace {
@@ -44,6 +42,14 @@ HananGrid small_grid(std::uint64_t seed = 4) {
   spec.min_obstacles = 3;
   spec.max_obstacles = 3;
   return gen::random_grid(spec, rng);
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+obs::Histogram& latency_histogram(const char* name) {
+  return obs::MetricsRegistry::instance().histogram(name, obs::latency_buckets());
 }
 
 std::set<std::pair<Vertex, Vertex>> edge_set(const route::RouteTree& tree) {
@@ -114,6 +120,7 @@ TEST(Canonical, InverseVertexMapRoundTrips) {
 TEST(RouterService, CacheHitReturnsIdenticalTree) {
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
   RouterService service(selector, {});
+  const std::uint64_t hits = counter_value("oar_serve_cache_hits_total");
 
   const auto grid = std::make_shared<const HananGrid>(small_grid());
   const RouteReply cold = service.route(grid);
@@ -126,7 +133,9 @@ TEST(RouterService, CacheHitReturnsIdenticalTree) {
   EXPECT_DOUBLE_EQ(warm.result.cost, cold.result.cost);
   EXPECT_EQ(edge_set(warm.result.tree), edge_set(cold.result.tree));
   EXPECT_EQ(warm.result.kept_steiner.size(), cold.result.kept_steiner.size());
-  EXPECT_EQ(service.metrics().snapshot().cache_hits, 1u);
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_EQ(counter_value("oar_serve_cache_hits_total") - hits, 1u);
 }
 
 TEST(RouterService, RotatedLayoutHitsSameCacheEntry) {
@@ -153,6 +162,7 @@ TEST(RouterService, RotatedLayoutHitsSameCacheEntry) {
 TEST(RouterService, ExpiredDeadlineIsFlagged) {
   auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
   RouterService service(selector, {});
+  const std::uint64_t misses = counter_value("oar_serve_slo_deadline_misses_total");
 
   RouteRequest request;
   request.grid = std::make_shared<const HananGrid>(small_grid());
@@ -160,7 +170,9 @@ TEST(RouterService, ExpiredDeadlineIsFlagged) {
   const RouteReply reply = service.submit(std::move(request)).get();
   EXPECT_TRUE(reply.result.connected);  // still routed, just late
   EXPECT_FALSE(reply.deadline_met);
-  EXPECT_EQ(service.metrics().snapshot().deadline_misses, 1u);
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_EQ(counter_value("oar_serve_slo_deadline_misses_total") - misses, 1u);
 }
 
 TEST(RouterService, ConcurrentClientsAllComplete) {
@@ -168,6 +180,8 @@ TEST(RouterService, ConcurrentClientsAllComplete) {
   RouterServiceConfig cfg;
   cfg.worker_threads = 2;
   RouterService service(selector, cfg);
+  const std::uint64_t requests = counter_value("oar_serve_requests_total");
+  const std::uint64_t hits = counter_value("oar_serve_cache_hits_total");
 
   std::vector<std::shared_ptr<const HananGrid>> layouts;
   for (std::uint64_t s = 1; s <= 3; ++s) {
@@ -190,66 +204,67 @@ TEST(RouterService, ConcurrentClientsAllComplete) {
   for (std::thread& t : clients) t.join();
 
   EXPECT_EQ(connected.load(), kClients * kPerClient);
-  const MetricsSnapshot snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.requests, std::uint64_t(kClients * kPerClient));
   // Only 3 distinct layouts exist; concurrent first touches may each miss,
   // but the steady state must be hits and at most 3 entries.
-  EXPECT_GE(snap.cache_hits, 1u);
   EXPECT_LE(service.cache_size(), 3u);
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_EQ(counter_value("oar_serve_requests_total") - requests,
+            std::uint64_t(kClients * kPerClient));
+  EXPECT_GE(counter_value("oar_serve_cache_hits_total") - hits, 1u);
 }
 
-TEST(ServiceMetrics, SnapshotAndCsvDump) {
-  ServiceMetrics metrics;
-  for (int i = 1; i <= 10; ++i) {
-    metrics.record_stage(Stage::kInference, 0.001 * i);
+TEST(RouterService, RegistryStageSumsMatchReplies) {
+  // Every stage of a served request is a registry histogram: over K
+  // distinct misses, each histogram's count and sum deltas reproduce the
+  // replies' own stage fields.
+  constexpr std::uint64_t kRequests = 6;
+  struct StageField {
+    const char* histogram;
+    double RouteReply::*seconds;
+  };
+  const StageField stages[] = {
+      {"oar_serve_queue_seconds", &RouteReply::queue_seconds},
+      {"oar_serve_inference_seconds", &RouteReply::inference_seconds},
+      {"oar_serve_routing_seconds", &RouteReply::routing_seconds},
+      {"oar_serve_request_latency_seconds", &RouteReply::total_seconds},
+  };
+  std::vector<std::uint64_t> count_before;
+  std::vector<double> sum_before;
+  for (const StageField& st : stages) {
+    count_before.push_back(latency_histogram(st.histogram).count());
+    sum_before.push_back(latency_histogram(st.histogram).sum());
   }
-  metrics.add_request();
-  metrics.add_request();
-  metrics.add_cache_hit();
 
-  const MetricsSnapshot snap = metrics.snapshot();
-  const StageSummary& inf = snap.stages[std::size_t(Stage::kInference)];
-  EXPECT_EQ(inf.count, 10u);
-  EXPECT_NEAR(inf.mean_ms, 5.5, 1e-9);
-  EXPECT_NEAR(inf.max_ms, 10.0, 1e-9);
-  EXPECT_GT(inf.p90_ms, inf.p50_ms);
-  EXPECT_DOUBLE_EQ(snap.cache_hit_rate(), 0.5);
-
-  const std::string path = testing::TempDir() + "serve_metrics_test.csv";
-  EXPECT_TRUE(metrics.dump_csv(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-  std::remove(path.c_str());
-}
-
-TEST(ServiceMetrics, MemoryStaysBoundedAndQuantilesLandInTheirBucket) {
-  ServiceMetrics metrics;
-  const std::size_t before = metrics.footprint_bytes();
-  // 1M routing samples: 60% at 1.5 ms, 35% at 12 ms, 5% at 0.2 s, so p50,
-  // p90 and p99 fall one in each.  The latency ladder doubles from 1 us,
-  // so the buckets holding them are (1.024, 2.048] ms, (8.192, 16.384] ms
-  // and (131.072, 262.144] ms.
-  constexpr int kSamples = 1'000'000;
-  for (int i = 0; i < kSamples; ++i) {
-    const int r = i % 20;
-    const double seconds = r < 12 ? 1.5e-3 : r < 19 ? 12e-3 : 0.2;
-    metrics.record_stage(Stage::kRouting, seconds);
+  auto selector = std::make_shared<rl::SteinerSelector>(tiny_config());
+  RouterServiceConfig cfg;
+  cfg.worker_threads = 1;
+  std::vector<RouteReply> replies;
+  {
+    RouterService service(selector, cfg);
+    std::vector<std::future<RouteReply>> futs;
+    for (std::uint64_t seed = 1; seed <= kRequests; ++seed) {
+      futs.push_back(service.submit(RouteRequest{
+          std::make_shared<const HananGrid>(small_grid(seed)), std::nullopt}));
+    }
+    for (auto& f : futs) replies.push_back(f.get());
   }
-  EXPECT_EQ(metrics.footprint_bytes(), before);
+  for (const RouteReply& r : replies) {
+    ASSERT_EQ(r.status, ReplyStatus::kOk);
+    ASSERT_FALSE(r.cache_hit);
+    EXPECT_LE(r.queue_seconds + r.inference_seconds + r.routing_seconds,
+              r.total_seconds);
+  }
 
-  const StageSummary routing =
-      metrics.snapshot().stages[std::size_t(Stage::kRouting)];
-  EXPECT_EQ(routing.count, std::size_t(kSamples));
-  EXPECT_NEAR(routing.max_ms, 200.0, 1e-9);
-  EXPECT_GT(routing.p50_ms, 1.024);
-  EXPECT_LE(routing.p50_ms, 2.048);
-  EXPECT_GT(routing.p90_ms, 8.192);
-  EXPECT_LE(routing.p90_ms, 16.384);
-  EXPECT_GT(routing.p99_ms, 131.072);
-  EXPECT_LE(routing.p99_ms, 262.144);
-  // The other stages saw nothing.
-  EXPECT_EQ(metrics.snapshot().stages[std::size_t(Stage::kTotal)].count, 0u);
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  for (std::size_t i = 0; i < std::size(stages); ++i) {
+    const obs::Histogram& h = latency_histogram(stages[i].histogram);
+    double want = 0.0;
+    for (const RouteReply& r : replies) want += r.*stages[i].seconds;
+    EXPECT_EQ(h.count() - count_before[i], kRequests) << stages[i].histogram;
+    EXPECT_NEAR(h.sum() - sum_before[i], want, 1e-9 * want)
+        << stages[i].histogram;
+  }
 }
 
 // ---- RouterService worker threads: one request end to end per thread ----

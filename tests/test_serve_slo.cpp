@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "gen/random_layout.hpp"
-#include "serve/metrics.hpp"
+#include "obs/metrics.hpp"
 
 namespace oar::serve {
 namespace {
@@ -27,6 +27,10 @@ rl::SelectorConfig tiny_config() {
   cfg.unet.depth = 1;
   cfg.unet.seed = 11;
   return cfg;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
 }
 
 std::shared_ptr<rl::SteinerSelector> tiny_selector() {
@@ -54,10 +58,14 @@ std::shared_ptr<const HananGrid> small_grid(std::uint64_t seed = 4) {
 
 /// Submits a slow request (a 64x64x8 layout) to a one-worker service and
 /// returns once the worker has taken it off the queue, so the caller's
-/// next submissions queue behind it.
+/// next submissions queue behind it.  The pop is seen as a new queue-wait
+/// observation, so callers skip under OARSMTRL_NO_METRICS.
 std::future<RouteReply> pin_single_worker(RouterService& service) {
+  const obs::Histogram& queue_wait = obs::MetricsRegistry::instance().histogram(
+      "oar_serve_queue_seconds", obs::latency_buckets());
+  const std::uint64_t popped = queue_wait.count();
   auto pin = service.submit(RouteRequest{grid_of_shape(64, 64, 8), std::nullopt});
-  while (service.metrics().snapshot().stages[std::size_t(Stage::kQueueWait)].count == 0) {
+  while (queue_wait.count() == popped) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   return pin;
@@ -107,11 +115,14 @@ TEST(RouterServiceSlo, DefaultDeadlineIsStampedAndFlagged) {
   cfg.cache_capacity = 0;
   cfg.slo.default_deadline_ms = 1e-3;
   RouterService service(tiny_selector(), cfg);
+  const std::uint64_t misses = counter_value("oar_serve_slo_deadline_misses_total");
   const RouteReply reply = service.route(small_grid());
   EXPECT_EQ(reply.status, ReplyStatus::kOk);
   EXPECT_TRUE(reply.result.connected);
   EXPECT_FALSE(reply.deadline_met);
-  EXPECT_GE(service.metrics().snapshot().deadline_misses, 1u);
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_GE(counter_value("oar_serve_slo_deadline_misses_total") - misses, 1u);
 }
 
 TEST(RouterServiceSlo, HopelessDeadlineRejectsTyped) {
@@ -120,29 +131,39 @@ TEST(RouterServiceSlo, HopelessDeadlineRejectsTyped) {
   cfg.cache_capacity = 0;
   cfg.slo.reject_hopeless = true;
   RouterService service(tiny_selector(), cfg);
+  const std::uint64_t before = counter_value("oar_serve_slo_rejected_hopeless_total");
   const RouteReply reply =
       service.submit(RouteRequest{small_grid(), in_ms(-5.0)}).get();
   EXPECT_EQ(reply.status, ReplyStatus::kOverloadedHopelessDeadline);
   EXPECT_TRUE(reply.overloaded());
   EXPECT_FALSE(reply.deadline_met);
   EXPECT_FALSE(reply.result.connected);
-  EXPECT_EQ(service.metrics().snapshot().rejected_hopeless, 1u);
+  const std::uint64_t rejected =
+      counter_value("oar_serve_slo_rejected_hopeless_total") - before;
   // A request with healthy slack is admitted and served.
   const RouteReply ok =
       service.submit(RouteRequest{small_grid(), in_ms(60000.0)}).get();
   EXPECT_EQ(ok.status, ReplyStatus::kOk);
   EXPECT_TRUE(ok.result.connected);
+
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
+  EXPECT_EQ(rejected, 1u);
 }
 
 TEST(RouterServiceSlo, QueueFullRejectsTyped) {
   // Deterministic overload: the only worker is busy on a slow request, so
   // later submissions accumulate in the queue until the admission bound
   // trips.
+  if (!obs::kMetricsCompiled) {
+    GTEST_SKIP() << "pin_single_worker needs the queue-wait histogram";
+  }
   RouterServiceConfig cfg;
   cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
   cfg.slo.max_queue_depth = 2;
   RouterService service(tiny_selector(), cfg);
+  const std::uint64_t before =
+      counter_value("oar_serve_slo_rejected_queue_full_total");
 
   auto pin = pin_single_worker(service);
   auto q1 = service.submit(RouteRequest{small_grid(7), std::nullopt});
@@ -157,7 +178,7 @@ TEST(RouterServiceSlo, QueueFullRejectsTyped) {
   EXPECT_EQ(rejected.status, ReplyStatus::kOverloadedQueueFull);
   EXPECT_FALSE(rejected.deadline_met);
   EXPECT_FALSE(rejected.result.connected);
-  EXPECT_EQ(service.metrics().snapshot().rejected_queue_full, 1u);
+  EXPECT_EQ(counter_value("oar_serve_slo_rejected_queue_full_total") - before, 1u);
 
   // Every admitted request is still served as a valid tree.
   EXPECT_TRUE(pin.get().result.connected);
@@ -169,6 +190,9 @@ TEST(RouterServiceSlo, UrgentRequestIsScheduledFirst) {
   // While the only worker is busy, enqueue a deadline-less request then a
   // later, urgent one.  EDF pops the later, urgent request first: its
   // queue wait must come out shorter.
+  if (!obs::kMetricsCompiled) {
+    GTEST_SKIP() << "pin_single_worker needs the queue-wait histogram";
+  }
   RouterServiceConfig cfg;
   cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
@@ -190,6 +214,7 @@ TEST(RouterServiceSlo, UrgentRequestIsScheduledFirst) {
 }
 
 TEST(RouterServiceSlo, ScrapeCarriesSloFamilies) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "built with OARSMTRL_NO_METRICS";
   RouterServiceConfig cfg;
   cfg.worker_threads = 1;
   cfg.cache_capacity = 0;
